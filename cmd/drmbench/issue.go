@@ -25,8 +25,12 @@ import (
 // issueRow is one point of the online-admission ablation: the same
 // issuance stream decided by the full validation walk (live tree +
 // superset enumeration per op, the pre-cache hot path) versus the
-// headroom cache (slack lookup + in-place decrement).
+// headroom cache (one min cut + count increment).
 type issueRow struct {
+	// Licenses is the corpus size N and SpanBits the widest group's
+	// observed span: the full walk pays 2^(N−|B|) equations per op.
+	Licenses int `json:"licenses"`
+	SpanBits int `json:"span_bits"`
 	// Priors is how many records the issuance log already holds when the
 	// measured stream starts; DistinctSets is its observed-set frontier.
 	Priors       int `json:"priors"`
@@ -65,13 +69,12 @@ type issueFixture struct {
 	sets     []bitset.Mask
 }
 
-func newIssueFixture(priors, ops int, seed int64) (*issueFixture, error) {
-	const n = 16
+func newIssueFixture(n, groups, priors, ops int, seed int64) (*issueFixture, error) {
 	per := priors / n
 	if per < 1 {
 		per = 1
 	}
-	cfg := workload.Config{N: n, Groups: 3, Dims: 4, RecordsPerLicense: per, Seed: seed}
+	cfg := workload.Config{N: n, Groups: groups, Dims: 4, RecordsPerLicense: per, Seed: seed}
 	w, err := workload.Generate(cfg)
 	if err != nil {
 		return nil, err
@@ -168,38 +171,41 @@ func benchIssueFull(f *issueFixture, ops int) (build time.Duration, lat []time.D
 }
 
 // benchIssueCached measures the cached path: warm the headroom cache
-// from the priors, then per op Admit (check + reserve + decrement),
-// append, Confirm.
-func benchIssueCached(f *issueFixture, ops int) (build time.Duration, lat []time.Duration, err error) {
+// from the priors, then per op Admit (cut + reserve), append, Confirm.
+// spanBits is the widest group span after warm-up.
+func benchIssueCached(f *issueFixture, ops int) (build time.Duration, lat []time.Duration, spanBits int, err error) {
 	log, err := f.priorLog()
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
 	ctx := context.Background()
 	start := time.Now()
 	cache, err := headroom.Build(ctx, f.grouping, f.corpus.Aggregates(), log)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
 	build = time.Since(start)
+	for _, g := range cache.Summaries() {
+		spanBits = max(spanBits, g.SpanBits)
+	}
 	lat = make([]time.Duration, ops)
 	for i := 0; i < ops; i++ {
 		set, count := f.op(i)
 		o := time.Now()
 		room, ok, err := cache.Admit(ctx, set, count)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, 0, err
 		}
 		if !ok {
-			return 0, nil, fmt.Errorf("issue bench: unexpected rejection at op %d (room %d)", i, room)
+			return 0, nil, 0, fmt.Errorf("issue bench: unexpected rejection at op %d (room %d)", i, room)
 		}
 		if err := log.Append(logstore.Record{Set: set, Count: count}); err != nil {
-			return 0, nil, err
+			return 0, nil, 0, err
 		}
 		cache.Confirm()
 		lat[i] = time.Since(o)
 	}
-	return build, lat, nil
+	return build, lat, spanBits, nil
 }
 
 func opsPerSec(lat []time.Duration) float64 {
@@ -213,23 +219,20 @@ func opsPerSec(lat []time.Duration) float64 {
 	return float64(len(lat)) / total.Seconds()
 }
 
-// benchIssueOne runs both arms at one prior-log size. The full arm walks
-// exponentially many equations per op, so it gets a smaller sample; both
-// arms report sustained ops/sec, which stays comparable.
-func benchIssueOne(priors, ops int, seed int64) (issueRow, error) {
-	fullOps := ops
-	if fullOps > 200 {
-		fullOps = 200
-	}
-	f, err := newIssueFixture(priors, ops, seed)
+// benchIssueOne runs both arms at one corpus shape and prior-log size.
+// The full arm walks exponentially many equations per op, so it gets a
+// smaller sample (at most fullCap ops); both arms report sustained
+// ops/sec, which stays comparable.
+func benchIssueOne(n, groups, priors, ops, fullCap int, seed int64) (issueRow, error) {
+	f, err := newIssueFixture(n, groups, priors, ops, seed)
 	if err != nil {
 		return issueRow{}, err
 	}
-	fullBuild, fullLat, err := benchIssueFull(f, fullOps)
+	fullBuild, fullLat, err := benchIssueFull(f, min(ops, fullCap))
 	if err != nil {
 		return issueRow{}, err
 	}
-	cacheBuild, cachedLat, err := benchIssueCached(f, ops)
+	cacheBuild, cachedLat, spanBits, err := benchIssueCached(f, ops)
 	if err != nil {
 		return issueRow{}, err
 	}
@@ -248,6 +251,8 @@ func benchIssueOne(priors, ops int, seed int64) (issueRow, error) {
 		return int64(v * 1e9)
 	}
 	row := issueRow{
+		Licenses:     n,
+		SpanBits:     spanBits,
 		Priors:       len(f.priors),
 		DistinctSets: len(f.sets),
 		FullBuildNS:  fullBuild.Nanoseconds(),
@@ -267,32 +272,44 @@ func benchIssueOne(priors, ops int, seed int64) (issueRow, error) {
 	return row, nil
 }
 
-// benchIssue sweeps prior-log decades from 10^4 up to maxPriors.
+// benchIssue sweeps prior-log decades from 10^4 up to maxPriors on a
+// 16-license, 3-group corpus, then adds one point on a single 24-license
+// group: a span past what a 2^span slack table could hold. There the
+// full walk costs 2^(24−|B|) equations, seconds per op, so its arm runs
+// only wideFullOps ops.
 func benchIssue(maxPriors, ops int, seed int64) ([]issueRow, error) {
+	const (
+		fullOps     = 200
+		wideFullOps = 3
+	)
 	var rows []issueRow
 	for p := 10_000; p <= maxPriors; p *= 10 {
-		row, err := benchIssueOne(p, ops, seed)
+		row, err := benchIssueOne(16, 3, p, ops, fullOps, seed)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
 	}
 	if len(rows) == 0 { // maxPriors below the first decade: one point
-		row, err := benchIssueOne(maxPriors, ops, seed)
+		row, err := benchIssueOne(16, 3, maxPriors, ops, fullOps, seed)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
 	}
-	return rows, nil
+	row, err := benchIssueOne(24, 1, min(maxPriors, 10_000), ops, wideFullOps, seed)
+	if err != nil {
+		return nil, err
+	}
+	return append(rows, row), nil
 }
 
 func writeIssue(out io.Writer, rows []issueRow) error {
 	tw := tabwriter.NewWriter(out, 4, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "priors\tsets\tfull_ops/s\tcached_ops/s\tfull_p50\tfull_p99\tcached_p50\tcached_p99\tspeedup\t")
+	fmt.Fprintln(tw, "N\tspan\tpriors\tsets\tfull_ops/s\tcached_ops/s\tfull_p50\tfull_p99\tcached_p50\tcached_p99\tspeedup\t")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%d\t%.0f\t%.0f\t%v\t%v\t%v\t%v\t%.0fx\t\n",
-			r.Priors, r.DistinctSets, r.FullOpsSec, r.CachedOpsSec,
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%s\t%.0f\t%v\t%v\t%v\t%v\t%.0fx\t\n",
+			r.Licenses, r.SpanBits, r.Priors, r.DistinctSets, rate(r.FullOpsSec), r.CachedOpsSec,
 			time.Duration(r.FullP50NS).Round(time.Microsecond),
 			time.Duration(r.FullP99NS).Round(time.Microsecond),
 			time.Duration(r.CachedP50NS).Round(100*time.Nanosecond),
@@ -302,13 +319,22 @@ func writeIssue(out io.Writer, rows []issueRow) error {
 	return tw.Flush()
 }
 
+// rate renders an ops/s figure, keeping two decimals below 10 ops/s
+// (the wide-group full walk runs at about one op per two seconds).
+func rate(v float64) string {
+	if v < 10 {
+		return fmt.Sprintf("%.2f", v)
+	}
+	return fmt.Sprintf("%.0f", v)
+}
+
 func writeIssueCSV(out io.Writer, rows []issueRow) error {
-	if _, err := fmt.Fprintln(out, "priors,distinct_sets,full_build_ns,cache_build_ns,full_ops_per_sec,cached_ops_per_sec,full_p50_ns,full_p99_ns,cached_p50_ns,cached_p99_ns,window_p50_ns,window_p99_ns,speedup"); err != nil {
+	if _, err := fmt.Fprintln(out, "licenses,span_bits,priors,distinct_sets,full_build_ns,cache_build_ns,full_ops_per_sec,cached_ops_per_sec,full_p50_ns,full_p99_ns,cached_p50_ns,cached_p99_ns,window_p50_ns,window_p99_ns,speedup"); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(out, "%d,%d,%d,%d,%.1f,%.1f,%d,%d,%d,%d,%d,%d,%.2f\n",
-			r.Priors, r.DistinctSets, r.FullBuildNS, r.CacheBuildNS,
+		if _, err := fmt.Fprintf(out, "%d,%d,%d,%d,%d,%d,%.1f,%.1f,%d,%d,%d,%d,%d,%d,%.2f\n",
+			r.Licenses, r.SpanBits, r.Priors, r.DistinctSets, r.FullBuildNS, r.CacheBuildNS,
 			r.FullOpsSec, r.CachedOpsSec, r.FullP50NS, r.FullP99NS,
 			r.CachedP50NS, r.CachedP99NS, r.WindowP50NS, r.WindowP99NS, r.Speedup); err != nil {
 			return err
@@ -327,7 +353,7 @@ type issueMeta struct {
 
 // writeIssueJSON writes the ablation rows as a stable JSON artifact
 // (the BENCH_issue.json record CI uploads): a schema tag, the run
-// parameters, and one row per prior-log decade.
+// parameters, one row per prior-log decade, and the wide-group row.
 func writeIssueJSON(path string, rows []issueRow, meta issueMeta) error {
 	meta.GoVersion = runtime.Version()
 	doc := struct {

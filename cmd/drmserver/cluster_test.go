@@ -216,22 +216,19 @@ func TestFollowerRebootstrapSwapsServingState(t *testing.T) {
 	before := fsrv.currentAPI().wal
 
 	// Eight records seal the first tiny segment (six frames per
-	// segment); the snapshot then covers it entirely, so Compact retires
-	// it and the dormant follower's start cursor points into history
-	// that no longer exists as segments.
+	// segment); the snapshot then covers it entirely and retires it, so
+	// the dormant follower's start cursor points into history that no
+	// longer exists as segments.
 	for i := 0; i < 8; i++ {
 		issueN(t, lts.URL, lex, 1)
 	}
 	lw := lsrv.currentAPI().wal
-	if _, err := lw.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	retired, err := lw.Compact()
+	info, err := lw.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if retired == 0 {
-		t.Fatal("compaction retired no segments; the re-bootstrap path is not exercised")
+	if info.Retired == 0 {
+		t.Fatal("snapshot compaction retired no segments; the re-bootstrap path is not exercised")
 	}
 	issueN(t, lts.URL, lex, 1)
 	issueN(t, lts.URL, lex, 1)

@@ -121,7 +121,7 @@ func (o *serverObs) exemplarRefs() []exemplarRef {
 	for endpoint, exs := range o.httpm.Exemplars() {
 		add("drm_http_request_seconds", endpoint, exs)
 	}
-	add("drm_engine_issue_seconds", "engine.issue", engine.M.IssueSeconds.Exemplars())
+	add("drm_issue_seconds", "engine.issue", engine.M.IssueSeconds.Exemplars())
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].ValueSeconds != out[j].ValueSeconds {
 			return out[i].ValueSeconds > out[j].ValueSeconds

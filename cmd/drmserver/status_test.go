@@ -110,7 +110,7 @@ func TestStatusEndpoint(t *testing.T) {
 			t.Errorf("exemplar trace %s does not resolve: status %d", e.TraceURL, resp.StatusCode)
 		}
 	}
-	if !scopes["drm_http_request_seconds"] || !scopes["drm_engine_issue_seconds"] {
+	if !scopes["drm_http_request_seconds"] || !scopes["drm_issue_seconds"] {
 		t.Errorf("exemplar metrics = %v, want both HTTP and engine histograms", scopes)
 	}
 }

@@ -1,6 +1,6 @@
 // Package headroom maintains the per-group admission cache that turns
-// online issuance from a full validation-tree walk into a bounded slack
-// lookup.
+// online issuance from a full validation-tree walk into one min cut over
+// the group's observed sets.
 //
 // Background. An issuance with belongs-to set B is aggregate-valid iff
 // its count fits under min over S ⊇ B of slack(S) = A[S] − C⟨S⟩
@@ -12,28 +12,25 @@
 //     sets never span overlap groups, so C⟨S⟩ splits additively across
 //     groups and the global minimum decomposes into
 //
-//	   Headroom(B) = localMin_k0(B) + Σ_{k≠k0} min(0, minSlack_k)
+//     Headroom(B) = localMin_k0(B) + Σ_{k≠k0} deficit_k
 //
 //     where k0 is B's group, localMin_k0(B) ranges over supersets of B
-//     inside the group, and minSlack_k is the smallest slack of any
-//     non-empty equation in group k. The deficit term is zero unless a
-//     recovered log already violates another group, preserving exact
-//     equivalence with the full-universe walk even then.
+//     inside the group, and deficit_k = min(0, min slack of group k). The
+//     deficit term is zero unless a recovered log already violates
+//     another group, preserving exact equivalence with the
+//     full-universe walk even then.
 //
-//  2. Observed-set pruning. A license that appears in no logged
-//     belongs-to set can only raise A[S] when added to S, never C⟨S⟩.
-//     The minimum is therefore attained inside B ∪ span, where span is
-//     the union of the group's observed sets — the "walk the observed
-//     set lattice" frontier. Each group keeps a dense slack table over
-//     span coordinates (slack of every S ⊆ span), so an admission check
-//     reads 2^(|span|−|B∩span|) array entries and an accepted append
-//     decrements the same entries: no tree, no replay.
+//  2. One min cut per check. Inside a group, slack(S) is a modular term
+//     minus a coverage sum over the observed sets, so localMin(B) is a
+//     maximum-weight-closure problem that one s–t min cut over the
+//     observed sets and the licenses of their span answers exactly
+//     (cut.go). The cache keeps only the net count per observed set; a
+//     check is one cut and an accepted admission one count increment.
 //
-// Groups whose span outgrows MaxSpanBits fall back to an exact sparse
-// mode that enumerates the union-closure of observed sets reachable from
-// B — still exponentially cheaper than the full-universe walk, and
-// metered separately (drm_headroom_slow_checks_total) so operators can
-// see when a corpus has outgrown the dense table.
+// Two facts keep every other update O(1) (DESIGN §10): an accepted Admit
+// never changes its group's deficit, and Credit, Release and TopUp only
+// raise slacks, so a zero deficit stays zero and only a negative one —
+// a recovered violating log — is recomputed, with one cut.
 //
 // Concurrency. Admission is Admit (check + reserve under the group
 // lock), then the caller appends to its log and calls Confirm, or
@@ -45,7 +42,6 @@ package headroom
 import (
 	"context"
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,12 +53,7 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultMaxSpanBits bounds the dense per-group slack table: a group
-// whose observed-set span exceeds this many licenses switches to the
-// sparse closure walk. 20 bits caps a table at 2^20 entries (8 MiB).
-const DefaultMaxSpanBits = 20
-
-// unbounded is the minSlack of a group with no active equations.
+// unbounded is the min slack of a group with no active equations.
 const unbounded = int64(math.MaxInt64)
 
 // Cache is the admission cache for one corpus. All methods are safe for
@@ -70,51 +61,44 @@ const unbounded = int64(math.MaxInt64)
 type Cache struct {
 	// mu guards topology: grouping, aggs, and the groups slice. Admission
 	// takes it shared; TopUp, Rebuild, and Verify take it exclusively.
-	mu          sync.RWMutex
-	maxSpanBits int
-	n           int
-	grouping    overlap.Grouping
-	aggs        []int64
-	groupOf     []int
-	groups      []*group
+	mu       sync.RWMutex
+	n        int
+	grouping overlap.Grouping
+	aggs     []int64
+	groupOf  []int
+	groups   []*group
 	// pending counts admitted-but-unconfirmed reservations (records the
 	// cache has applied that the issuance log may not hold yet).
 	pending atomic.Int64
 }
 
-// group is one overlap component's slack state. minSlack is atomic so
-// admissions in other groups read this group's deficit without taking
-// its lock; everything else is guarded by mu.
+// group is one overlap component's slack state. deficit is atomic so
+// admissions in other groups read it without taking this group's lock;
+// everything else is guarded by mu.
 type group struct {
 	mu      sync.Mutex
 	members bitset.Mask
-	// cnt sums net counts (issues minus revokes and expiries) per
-	// observed belongs-to set (global masks) — the compacted ledger
-	// restricted to this group. It is the ground truth the dense table
-	// is derived from, and what Rebuild reuses so corpus changes never
-	// replay the log. Entries are always positive: a set whose net count
-	// returns to zero is pruned, so the span matches what a fresh build
-	// from the log derives.
-	cnt map[bitset.Mask]int64
+	// sets and cnt hold the net count (issues minus revokes and expiries)
+	// of every observed belongs-to set — the compacted ledger restricted
+	// to this group, and the only slack state the cache keeps. index maps
+	// a set to its position. Counts are always positive: a set whose net
+	// count returns to zero is pruned, so the span matches what a fresh
+	// build from the log derives. total is Σ cnt.
+	sets  []bitset.Mask
+	cnt   []int64
+	index map[bitset.Mask]int
+	total int64
 	// xfer sums cumulative transferred counts per set — lifecycle
 	// bookkeeping the engine's transfer-cap policy reads. Transfers do
 	// not move slack.
 	xfer map[bitset.Mask]int64
+	// span is the union of the observed sets: licenses outside it only
+	// raise A[S], never C⟨S⟩.
 	span bitset.Mask
-	// spanElems maps span-coordinate bit → global license index, in
-	// span-arrival order (so growing the span never remaps old bits);
-	// coord is the inverse, -1 outside the span.
-	spanElems []int
-	coord     [bitset.MaxMaskElems]int8
-	dense     bool
-	// table[T] = A_span[T] − C⟨T⟩ for every span-coordinate mask T
-	// (dense mode only); table[0] == 0.
-	table []int64
-	// minSlack is the smallest slack of any non-empty equation in the
-	// group (exact in dense mode; in sparse mode exact whenever ≤ 0,
-	// which is all the deficit term needs). unbounded when no equation
-	// is active.
-	minSlack atomic.Int64
+	// net is the reusable cut network over sets and span.
+	net flowNet
+	// deficit is min(0, smallest slack of any equation in the group).
+	deficit atomic.Int64
 	// rejections counts admissions this group turned away (count >
 	// room) over the cache's lifetime — the per-group signal behind the
 	// heavy-hitter rejection ranking and the /v1/headroom summaries.
@@ -128,14 +112,8 @@ type group struct {
 // cannot arise from instance-valid issuance and fails the build with a
 // KindCrossGroup error.
 func Build(ctx context.Context, grouping overlap.Grouping, aggs []int64, log logstore.Store) (*Cache, error) {
-	return BuildMaxSpan(ctx, grouping, aggs, log, DefaultMaxSpanBits)
-}
-
-// BuildMaxSpan is Build with an explicit dense-table bound, exposed so
-// tests (and memory-constrained callers) can force the sparse path.
-func BuildMaxSpan(ctx context.Context, grouping overlap.Grouping, aggs []int64, log logstore.Store, maxSpanBits int) (*Cache, error) {
 	ctx, sp := trace.Start(ctx, "headroom.build")
-	c, err := buildMaxSpan(ctx, grouping, aggs, log, maxSpanBits)
+	c, err := build(ctx, grouping, aggs, log)
 	if sp != nil {
 		sp.SetInt("groups", int64(grouping.NumGroups()))
 		sp.Fail(err)
@@ -144,48 +122,36 @@ func BuildMaxSpan(ctx context.Context, grouping overlap.Grouping, aggs []int64, 
 	return c, err
 }
 
-func buildMaxSpan(ctx context.Context, grouping overlap.Grouping, aggs []int64, log logstore.Store, maxSpanBits int) (*Cache, error) {
-	c, err := newCache(grouping, aggs, maxSpanBits)
+func build(ctx context.Context, grouping overlap.Grouping, aggs []int64, log logstore.Store) (*Cache, error) {
+	c, err := newCache(grouping, aggs)
 	if err != nil {
 		return nil, err
 	}
-	records := 0
+	net := make(map[bitset.Mask]int64)
+	xfer := make(map[bitset.Mask]int64)
 	err = logstore.ForEachContext(ctx, log, func(r logstore.Record) error {
-		g, err := c.route(r.Set)
-		if err != nil {
+		if _, err := c.route(r.Set); err != nil {
 			return err
 		}
-		if eff := r.Effective(); eff != 0 {
-			g.cnt[r.Set] += eff
-		}
+		net[r.Set] += r.Effective()
 		if r.Kind == logstore.KindTransfer {
-			g.xfer[r.Set] += r.Count
+			xfer[r.Set] += r.Count
 		}
-		records++
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range c.groups {
-		// Sets whose net count returned to zero contribute to no
-		// equation; prune them so the span (and hence the dense table
-		// shape) is determined by the live counts alone.
-		for set, n := range g.cnt {
-			if n == 0 {
-				delete(g.cnt, set)
-			}
-		}
-		c.finalizeGroup(g)
+	if err := c.load(net, xfer); err != nil {
+		return nil, err
 	}
 	M.Rebuilds.Inc()
-	c.setShapeGauges()
-	_ = records
+	M.Groups.Set(int64(len(c.groups)))
 	return c, nil
 }
 
 // newCache allocates the skeleton: groups, routing table, aggregate copy.
-func newCache(grouping overlap.Grouping, aggs []int64, maxSpanBits int) (*Cache, error) {
+func newCache(grouping overlap.Grouping, aggs []int64) (*Cache, error) {
 	if err := grouping.Validate(); err != nil {
 		return nil, drmerr.Wrap(drmerr.KindCorpusMismatch, "headroom.build", err)
 	}
@@ -193,33 +159,64 @@ func newCache(grouping overlap.Grouping, aggs []int64, maxSpanBits int) (*Cache,
 		return nil, drmerr.New(drmerr.KindCorpusMismatch, "headroom.build",
 			"headroom: %d aggregates for %d licenses", len(aggs), grouping.N)
 	}
-	if maxSpanBits < 1 {
-		maxSpanBits = 1
-	}
-	if maxSpanBits > bitset.MaxMaskElems {
-		maxSpanBits = bitset.MaxMaskElems
+	for i, a := range aggs {
+		if a < 0 {
+			return nil, drmerr.New(drmerr.KindCorpusMismatch, "headroom.build",
+				"headroom: negative aggregate %d for license %d", a, i)
+		}
 	}
 	c := &Cache{
-		maxSpanBits: maxSpanBits,
-		n:           grouping.N,
-		grouping:    grouping,
-		aggs:        append([]int64(nil), aggs...),
-		groupOf:     make([]int, grouping.N),
-		groups:      make([]*group, len(grouping.Groups)),
+		n:        grouping.N,
+		grouping: grouping,
+		aggs:     append([]int64(nil), aggs...),
+		groupOf:  make([]int, grouping.N),
+		groups:   make([]*group, len(grouping.Groups)),
 	}
 	for k, gr := range grouping.Groups {
-		g := &group{members: gr.Members, cnt: make(map[bitset.Mask]int64), xfer: make(map[bitset.Mask]int64)}
-		g.minSlack.Store(unbounded)
-		for i := range g.coord {
-			g.coord[i] = -1
+		c.groups[k] = &group{
+			members: gr.Members,
+			index:   make(map[bitset.Mask]int),
+			xfer:    make(map[bitset.Mask]int64),
 		}
-		c.groups[k] = g
 		gr.Members.ForEach(func(e int) bool {
 			c.groupOf[e] = k
 			return true
 		})
 	}
 	return c, nil
+}
+
+// load routes net and transfer totals into the groups and derives each
+// group's deficit with one cut. Sets whose net count is zero contribute
+// to no equation and are not observed. A negative net count means debits
+// outran credits, which a sound store refuses; the closure argument
+// behind the cut needs non-negative counts, so it fails the build.
+func (c *Cache) load(net, xfer map[bitset.Mask]int64) error {
+	for set, n := range net {
+		if n == 0 {
+			continue
+		}
+		if n < 0 {
+			return drmerr.New(drmerr.KindLedgerUnsound, "headroom.build",
+				"headroom: set %v has negative net count %d", set, n)
+		}
+		g, err := c.route(set)
+		if err != nil {
+			return err
+		}
+		g.add(set, n)
+	}
+	for set, n := range xfer {
+		g, err := c.route(set)
+		if err != nil {
+			return err
+		}
+		g.xfer[set] += n
+	}
+	for _, g := range c.groups {
+		g.deficit.Store(c.deficitLocked(g))
+	}
+	return nil
 }
 
 // Rebuild re-derives every group's state for a changed corpus (new
@@ -241,35 +238,24 @@ func (c *Cache) Rebuild(ctx context.Context, grouping overlap.Grouping, aggs []i
 func (c *Cache) rebuild(grouping overlap.Grouping, aggs []int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fresh, err := newCache(grouping, aggs, c.maxSpanBits)
+	fresh, err := newCache(grouping, aggs)
 	if err != nil {
 		return err
 	}
+	net := make(map[bitset.Mask]int64)
+	xfer := make(map[bitset.Mask]int64)
 	for _, old := range c.groups {
 		old.mu.Lock()
-		for set, n := range old.cnt {
-			if n == 0 {
-				continue
-			}
-			g, err := fresh.route(set)
-			if err != nil {
-				old.mu.Unlock()
-				return err
-			}
-			g.cnt[set] += n
+		for i, set := range old.sets {
+			net[set] = old.cnt[i]
 		}
 		for set, n := range old.xfer {
-			g, err := fresh.route(set)
-			if err != nil {
-				old.mu.Unlock()
-				return err
-			}
-			g.xfer[set] += n
+			xfer[set] = n
 		}
 		old.mu.Unlock()
 	}
-	for _, g := range fresh.groups {
-		fresh.finalizeGroup(g)
+	if err := fresh.load(net, xfer); err != nil {
+		return err
 	}
 	c.n = fresh.n
 	c.grouping = fresh.grouping
@@ -277,7 +263,7 @@ func (c *Cache) rebuild(grouping overlap.Grouping, aggs []int64) error {
 	c.groupOf = fresh.groupOf
 	c.groups = fresh.groups
 	M.Rebuilds.Inc()
-	c.setShapeGauges()
+	M.Groups.Set(int64(len(c.groups)))
 	return nil
 }
 
@@ -309,173 +295,64 @@ func (c *Cache) aggSum(m bitset.Mask) int64 {
 	return total
 }
 
-// spanCoord compresses m ∩ span into span-coordinate bits.
-func (g *group) spanCoord(m bitset.Mask) bitset.Mask {
-	var out bitset.Mask
-	m.Intersect(g.span).ForEach(func(e int) bool {
-		out |= 1 << uint(g.coord[e])
-		return true
-	})
-	return out
-}
-
-// expand is the inverse of spanCoord: span-coordinate mask → global mask.
-func (g *group) expand(t bitset.Mask) bitset.Mask {
-	var out bitset.Mask
-	t.ForEach(func(b int) bool {
-		out = out.With(g.spanElems[b])
-		return true
-	})
-	return out
-}
-
-// finalizeGroup derives span, mode, table, and minSlack from g.cnt.
-func (c *Cache) finalizeGroup(g *group) {
-	for i := range g.coord {
-		g.coord[i] = -1
+// count returns set's net count, 0 when unobserved. Caller holds g.mu.
+func (g *group) count(set bitset.Mask) int64 {
+	if i, ok := g.index[set]; ok {
+		return g.cnt[i]
 	}
-	g.span = 0
-	for set := range g.cnt {
+	return 0
+}
+
+// add adds delta to set's net count. A newly observed set joins the
+// sets and the span; a set whose count returns to zero is pruned and the
+// span re-derived from the survivors. Either reshapes the cut network.
+// Caller holds g.mu and keeps the count non-negative.
+func (g *group) add(set bitset.Mask, delta int64) {
+	g.total += delta
+	i, ok := g.index[set]
+	if !ok {
+		g.index[set] = len(g.sets)
+		g.sets = append(g.sets, set)
+		g.cnt = append(g.cnt, delta)
 		g.span = g.span.Union(set)
+		g.net.current = false
+		return
 	}
-	g.spanElems = g.span.Elems()
-	for p, e := range g.spanElems {
-		g.coord[e] = int8(p)
+	if g.cnt[i] += delta; g.cnt[i] != 0 {
+		return
 	}
-	g.dense = len(g.spanElems) <= c.maxSpanBits
-	if g.dense {
-		c.rebuildTable(g)
-	} else {
-		g.table = nil
-		c.recomputeSparseMinSlack(g)
+	last := len(g.sets) - 1
+	g.sets[i], g.cnt[i] = g.sets[last], g.cnt[last]
+	g.index[g.sets[i]] = i
+	delete(g.index, set)
+	g.sets, g.cnt = g.sets[:last], g.cnt[:last]
+	g.span = 0
+	for _, s := range g.sets {
+		g.span = g.span.Union(s)
+	}
+	g.net.current = false
+}
+
+// raisedLocked restores g's deficit after slacks only rose (a credit,
+// rollback, or budget top-up): a zero deficit stays zero, and only a
+// negative one needs a fresh cut. Caller holds g.mu.
+func (c *Cache) raisedLocked(g *group) {
+	if g.deficit.Load() < 0 {
+		g.deficit.Store(c.deficitLocked(g))
 	}
 }
 
-// rebuildTable recomputes the dense slack table with one subset-sum
-// (zeta) transform: O(2^|span| · |span|) regardless of how many records
-// produced the counts.
-func (c *Cache) rebuildTable(g *group) {
-	size := 1 << uint(len(g.spanElems))
-	// sub[T] accumulates C⟨T⟩: seed with the exact counts, then one zeta
-	// pass turns point counts into subset-closed sums.
-	sub := make([]int64, size)
-	for set, n := range g.cnt {
-		sub[g.spanCoord(set)] += n
-	}
-	for b := 0; b < len(g.spanElems); b++ {
-		bit := 1 << uint(b)
-		for t := 0; t < size; t++ {
-			if t&bit != 0 {
-				sub[t] += sub[t^bit]
-			}
-		}
-	}
-	// table[T] = A_span[T] − C⟨T⟩; A_span via the lowest-bit recurrence.
-	table := make([]int64, size)
-	min := unbounded
-	for t := 1; t < size; t++ {
-		low := t & -t
-		table[t] = table[t^low] + c.aggs[g.spanElems[bits.TrailingZeros64(uint64(low))]]
-	}
-	for t := 1; t < size; t++ {
-		table[t] -= sub[t]
-		if table[t] < min {
-			min = table[t]
-		}
-	}
-	g.table = table
-	g.minSlack.Store(min)
-}
-
-// slackSlow computes slack(S) = A[S] − C⟨S⟩ by scanning the observed
-// counts — the sparse-mode equation evaluator.
-func (c *Cache) slackSlow(g *group, s bitset.Mask) int64 {
-	total := c.aggSum(s)
-	for set, n := range g.cnt {
-		if set.SubsetOf(s) {
-			total -= n
-		}
-	}
-	return total
-}
-
-// closureMin returns min slack(S) over the union-closure of observed
-// sets reachable from start — exactly min over S ⊇ start of slack(S)
-// when start is non-empty, since licenses outside every observed set
-// only raise A[S]. With start == 0 it ranges over the non-empty unions
-// of observed sets, which is where every negative slack lives. Each
-// visited node counts one equation toward the metrics.
-func (c *Cache) closureMin(g *group, start bitset.Mask) int64 {
-	best := unbounded
-	if !start.Empty() {
-		best = c.slackSlow(g, start)
-	}
-	visited := map[bitset.Mask]bool{start: true}
-	queue := []bitset.Mask{start}
-	eqs := int64(1)
-	for len(queue) > 0 {
-		s := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for set := range g.cnt {
-			u := s.Union(set)
-			if visited[u] {
-				continue
-			}
-			visited[u] = true
-			queue = append(queue, u)
-			eqs++
-			if slack := c.slackSlow(g, u); slack < best {
-				best = slack
-			}
-		}
-	}
-	M.Equations.Add(eqs)
-	return best
-}
-
-// recomputeSparseMinSlack refreshes minSlack for a sparse-mode group.
-// The result is exact whenever it is ≤ 0 (see the minSlack field doc).
-func (c *Cache) recomputeSparseMinSlack(g *group) {
-	g.minSlack.Store(c.closureMin(g, 0))
-}
-
-// deficitExcept sums min(0, minSlack_k) over every group but skip — the
+// deficitExcept sums the deficits of every group but skip — the
 // cross-group correction that keeps cached headroom exactly equal to the
 // full-universe walk when a recovered log already violates other groups.
 func (c *Cache) deficitExcept(skip *group) int64 {
 	var total int64
 	for _, g := range c.groups {
-		if g == skip {
-			continue
-		}
-		if ms := g.minSlack.Load(); ms < 0 {
-			total += ms
+		if g != skip {
+			total += g.deficit.Load()
 		}
 	}
 	return total
-}
-
-// localMinLocked returns min over S ⊇ set within the group of slack(S).
-// Caller holds g.mu.
-func (c *Cache) localMinLocked(g *group, set bitset.Mask) int64 {
-	if !g.dense {
-		M.SlowChecks.Inc()
-		return c.closureMin(g, set)
-	}
-	// Licenses in set but outside the span contribute a fixed A offset;
-	// the rest is a superset scan of the dense table.
-	offset := c.aggSum(set.Diff(g.span))
-	bs := g.spanCoord(set)
-	best := g.table[bs]
-	rem := bitset.Mask(len(g.table)-1) ^ bs
-	rem.Subsets(func(extra bitset.Mask) bool {
-		if v := g.table[bs|extra]; v < best {
-			best = v
-		}
-		return true
-	})
-	M.Equations.Add(int64(1) << uint(rem.Len()))
-	return offset + best
 }
 
 // Headroom returns the largest count issuable against set without
@@ -491,28 +368,16 @@ func (c *Cache) Headroom(set bitset.Mask) (int64, error) {
 	g.mu.Lock()
 	local := c.localMinLocked(g, set)
 	g.mu.Unlock()
-	return saturatingAdd(local, c.deficitExcept(g)), nil
-}
-
-// saturatingAdd guards the unbounded sentinel against deficit overflow.
-func saturatingAdd(a, b int64) int64 {
-	if a == unbounded || b == unbounded {
-		return unbounded
-	}
-	s := a + b
-	if b < 0 && s > a { // underflow wrapped
-		return math.MinInt64
-	}
-	return s
+	return local + c.deficitExcept(g), nil
 }
 
 // Admit atomically checks and reserves one issuance: if count fits under
-// the cached headroom for set, the group's slack entries are decremented
-// in place and ok is true; otherwise nothing changes and the rejecting
-// headroom is returned. After a successful Admit the caller must append
-// the record to its log and call Confirm, or Release to undo a failed
-// append. The check and the decrement run under one group lock, so
-// concurrent admissions can never jointly overshoot a budget.
+// the cached headroom for set, the set's net count rises by count and ok
+// is true; otherwise nothing changes and the rejecting headroom is
+// returned. After a successful Admit the caller must append the record
+// to its log and call Confirm, or Release to undo a failed append. The
+// check and the increment run under one group lock, so concurrent
+// admissions can never jointly overshoot a budget.
 func (c *Cache) Admit(ctx context.Context, set bitset.Mask, count int64) (room int64, ok bool, err error) {
 	start := time.Now()
 	defer M.CheckSeconds.ObserveSince(start)
@@ -529,7 +394,7 @@ func (c *Cache) Admit(ctx context.Context, set bitset.Mask, count int64) (room i
 	}
 	g.mu.Lock()
 	_, csp := trace.Start(ctx, "headroom.check")
-	room = saturatingAdd(c.localMinLocked(g, set), c.deficitExcept(g))
+	room = c.localMinLocked(g, set) + c.deficitExcept(g)
 	if csp != nil {
 		csp.SetInt("headroom", room)
 		csp.End()
@@ -541,7 +406,9 @@ func (c *Cache) Admit(ctx context.Context, set bitset.Mask, count int64) (room i
 		return room, false, nil
 	}
 	_, asp := trace.Start(ctx, "headroom.apply")
-	c.applyLocked(g, set, count)
+	// count ≤ room ≤ localMin(set) keeps every superset of set at slack
+	// ≥ 0 and moves no other slack, so the group's deficit is unchanged.
+	g.add(set, count)
 	if asp != nil {
 		asp.SetInt("count", count)
 		asp.End()
@@ -558,95 +425,11 @@ func (c *Cache) Confirm() { c.pending.Add(-1) }
 // Pending returns the number of admitted-but-unconfirmed reservations.
 func (c *Cache) Pending() int64 { return c.pending.Load() }
 
-// applyLocked decrements slack for every equation S ⊇ set. Caller holds
-// g.mu; set has already been validated by route.
-func (c *Cache) applyLocked(g *group, set bitset.Mask, count int64) {
-	g.cnt[set] += count
-	if g.dense {
-		c.growSpanLocked(g, set)
-	}
-	if !g.dense {
-		g.span = g.span.Union(set)
-		// Exact maintenance: the decremented equations are exactly the
-		// supersets of set, whose new minimum the closure walk computes.
-		if m := c.closureMin(g, set); m < g.minSlack.Load() {
-			g.minSlack.Store(m)
-		}
-		return
-	}
-	bs := g.spanCoord(set)
-	rem := bitset.Mask(len(g.table)-1) ^ bs
-	written := g.table[bs] - count
-	g.table[bs] = written
-	min := written
-	rem.Subsets(func(extra bitset.Mask) bool {
-		t := bs | extra
-		g.table[t] -= count
-		if g.table[t] < min {
-			min = g.table[t]
-		}
-		return true
-	})
-	M.Equations.Add(int64(1) << uint(rem.Len()))
-	if min < g.minSlack.Load() {
-		g.minSlack.Store(min)
-	}
-}
-
-// growSpanLocked extends the dense span with set's unobserved licenses.
-// Each new element doubles the table — newTable[T|bit] = table[T] +
-// A[e], valid because no existing count contains e — until MaxSpanBits
-// forces the sparse fallback. No replay, ever.
-func (c *Cache) growSpanLocked(g *group, set bitset.Mask) {
-	grow := set.Diff(g.span)
-	if grow.Empty() {
-		return
-	}
-	ok := true
-	grow.ForEach(func(e int) bool {
-		if len(g.spanElems) >= c.maxSpanBits {
-			ok = false
-			return false
-		}
-		bit := len(g.spanElems)
-		old := g.table
-		nt := make([]int64, 2*len(old))
-		copy(nt, old)
-		a := c.aggs[e]
-		min := g.minSlack.Load()
-		for t, v := range old {
-			nv := v + a
-			nt[len(old)+t] = nv
-			if nv < min {
-				min = nv
-			}
-		}
-		g.table = nt
-		g.minSlack.Store(min)
-		g.spanElems = append(g.spanElems, e)
-		g.coord[e] = int8(bit)
-		g.span = g.span.With(e)
-		M.SpanGrowths.Inc()
-		return true
-	})
-	if !ok {
-		// Span outgrew the dense budget: drop the table, keep the counts.
-		// minSlack stays valid (it was exact; sparse mode only needs
-		// exactness at ≤ 0).
-		g.dense = false
-		g.table = nil
-		g.span = g.span.Union(set)
-		set.Diff(bitset.MaskOf(g.spanElems...)).ForEach(func(e int) bool {
-			g.coord[e] = int8(len(g.spanElems))
-			g.spanElems = append(g.spanElems, e)
-			return true
-		})
-		M.SpanOverflows.Inc()
-	}
-}
-
 // Release rolls back an admitted-but-unlogged reservation (the log
-// append failed): slack is restored and the reservation retired.
+// append failed): the count is withdrawn and the reservation retired.
+// The rolled-back record may have been the only one observing some
+// license, so the span shrinks with it, matching what a verification
+// rebuild derives from the log.
 func (c *Cache) Release(set bitset.Mask, count int64) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -659,16 +442,8 @@ func (c *Cache) Release(set bitset.Mask, count int64) error {
 		g.mu.Unlock()
 		c.pending.Add(-1)
 	}()
-	g.cnt[set] -= count
-	if g.cnt[set] <= 0 {
-		delete(g.cnt, set)
-	}
-	// Re-derive span, mode, table, and minimum from the surviving counts:
-	// the rolled-back record may have been the only one observing some
-	// license, and the span must shrink with it so the state matches what
-	// a verification rebuild derives from the log. Release only runs when
-	// a log append failed, so the full refinalize is off the hot path.
-	c.finalizeGroup(g)
+	g.add(set, -min(count, g.count(set)))
+	c.raisedLocked(g)
 	return nil
 }
 
@@ -679,10 +454,9 @@ func (c *Cache) Release(set bitset.Mask, count int64) error {
 func (c *Cache) Hold() { c.pending.Add(1) }
 
 // Credit applies a durably-logged debit record (revoke or expire) to
-// the cache: the set's net count drops by count and slack for every
-// equation S ⊇ set rises by count, mirroring the admission decrement
-// path in place. Callers bracket the log append and the Credit with
-// Hold/Confirm so Verify never observes the halfway state. A count
+// the cache: the set's net count drops by count, which raises slack for
+// every equation S ⊇ set. Callers bracket the log append and the Credit
+// with Hold/Confirm so Verify never observes the halfway state. A count
 // exceeding the cached net count means the cache has diverged from the
 // log (the store would have refused the append) and is reported as
 // KindHeadroomDivergence.
@@ -710,45 +484,12 @@ func (c *Cache) credit(set bitset.Mask, count int64) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	cur := g.cnt[set]
-	if count > cur {
+	if cur := g.count(set); count > cur {
 		return drmerr.New(drmerr.KindHeadroomDivergence, "headroom.credit",
 			"headroom: credit of %d against cached net count %d for set %v", count, cur, set)
 	}
-	if count == cur {
-		// The set's net count returns to zero: prune it and re-derive
-		// span, mode, table, and minimum, exactly like a rolled-back
-		// reservation — a fresh build from the log would not observe the
-		// set either. Debits are off the admission hot path, so the full
-		// refinalize is acceptable here.
-		delete(g.cnt, set)
-		c.finalizeGroup(g)
-		return nil
-	}
-	g.cnt[set] = cur - count
-	if !g.dense {
-		// Slacks only rose; the sparse minimum must be re-derived to stay
-		// exact at ≤ 0.
-		c.recomputeSparseMinSlack(g)
-		return nil
-	}
-	bs := g.spanCoord(set)
-	rem := bitset.Mask(len(g.table)-1) ^ bs
-	g.table[bs] += count
-	rem.Subsets(func(extra bitset.Mask) bool {
-		g.table[bs|extra] += count
-		return true
-	})
-	M.Equations.Add(int64(1) << uint(rem.Len()))
-	// Increments can raise the minimum anywhere in the table, not just
-	// among the touched entries; rescan for the exact value.
-	min := unbounded
-	for t := 1; t < len(g.table); t++ {
-		if g.table[t] < min {
-			min = g.table[t]
-		}
-	}
-	g.minSlack.Store(min)
+	g.add(set, -count)
+	c.raisedLocked(g)
 	return nil
 }
 
@@ -799,12 +540,11 @@ func (c *Cache) NetCount(set bitset.Mask) (int64, error) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.cnt[set], nil
+	return g.count(set), nil
 }
 
-// TopUp raises license i's budget by extra, patching every affected
-// slack entry in place. Budgets only rise, so dense tables update with
-// one masked sweep; sparse groups refresh their minimum.
+// TopUp raises license i's budget by extra. Budgets only rise, so the
+// owning group's deficit needs a cut only if it was negative.
 func (c *Cache) TopUp(i int, extra int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -817,27 +557,8 @@ func (c *Cache) TopUp(i int, extra int64) error {
 	c.aggs[i] += extra
 	g := c.groups[c.groupOf[i]]
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.span.Has(i) {
-		// i appears in no observed set: no cached equation's slack moves
-		// (A[S∖span] is summed from aggs at query time).
-		return nil
-	}
-	if !g.dense {
-		c.recomputeSparseMinSlack(g)
-		return nil
-	}
-	bit := 1 << uint(g.coord[i])
-	min := unbounded
-	for t := 1; t < len(g.table); t++ {
-		if t&bit != 0 {
-			g.table[t] += extra
-		}
-		if g.table[t] < min {
-			min = g.table[t]
-		}
-	}
-	g.minSlack.Store(min)
+	c.raisedLocked(g)
+	g.mu.Unlock()
 	return nil
 }
 
@@ -847,15 +568,3 @@ func (c *Cache) N() int {
 	defer c.mu.RUnlock()
 	return c.n
 }
-
-// setShapeGauges publishes group-count and table-size gauges. Caller
-// holds c.mu (any mode).
-func (c *Cache) setShapeGauges() {
-	M.Groups.Set(int64(len(c.groups)))
-	var bytes int64
-	for _, g := range c.groups {
-		bytes += int64(8 * len(g.table))
-	}
-	M.TableBytes.Set(bytes)
-}
-

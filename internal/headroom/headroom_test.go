@@ -181,7 +181,7 @@ func TestAdmitSequenceMatchesOracle(t *testing.T) {
 }
 
 // TestSpanGrowth admits sets that keep introducing unobserved licenses
-// and checks the dense table grows without losing exactness.
+// and checks the span grows without losing exactness.
 func TestSpanGrowth(t *testing.T) {
 	grouping := overlap.Grouping{N: 6, Groups: []overlap.Group{
 		{Members: bitset.FullMask(6), Size: 6},
@@ -212,9 +212,6 @@ func TestSpanGrowth(t *testing.T) {
 		}
 		c.Confirm()
 		sum := c.Summaries()[0]
-		if sum.Mode != "dense" {
-			t.Fatalf("step %d: mode %q, want dense", i, sum.Mode)
-		}
 		if sum.SpanBits < lastSpan {
 			t.Fatalf("step %d: span shrank %d → %d", i, lastSpan, sum.SpanBits)
 		}
@@ -228,70 +225,101 @@ func TestSpanGrowth(t *testing.T) {
 	}
 }
 
-// TestSparseMode forces the closure-walk fallback with a tiny dense
-// budget and checks it stays exact.
+// wideSet returns the 24-license set missing only the given licenses.
+// Observed sets this wide keep the oracle's superset walk at 2^|missing|
+// equations while their union spans all 24 licenses.
+func wideSet(missing ...int) bitset.Mask {
+	return bitset.FullMask(24).Diff(bitset.MaskOf(missing...))
+}
+
+// TestSparseMode checks a group whose observed span (24 licenses) is
+// past what a dense 2^span slack table could hold — the shape that once
+// needed a separate sparse fallback — against the tree walk, before and
+// after draining one set's headroom.
 func TestSparseMode(t *testing.T) {
-	grouping := overlap.Grouping{N: 5, Groups: []overlap.Group{
-		{Members: bitset.FullMask(5), Size: 5},
+	grouping := overlap.Grouping{N: 24, Groups: []overlap.Group{
+		{Members: bitset.FullMask(24), Size: 24},
 	}}
-	aggs := []int64{100, 200, 300, 400, 500}
+	aggs := make([]int64, 24)
+	for i := range aggs {
+		aggs[i] = int64(10 + 7*i%23)
+	}
 	log := memLog(t,
-		logstore.Record{Set: bitset.MaskOf(0), Count: 40},
-		logstore.Record{Set: bitset.MaskOf(0, 1), Count: 30},
-		logstore.Record{Set: bitset.MaskOf(2, 3), Count: 250},
-		logstore.Record{Set: bitset.MaskOf(1, 4), Count: 60},
+		logstore.Record{Set: wideSet(0, 1, 2, 3, 4, 5, 6, 7), Count: 90},
+		logstore.Record{Set: wideSet(16, 17, 18, 19, 20, 21, 22, 23), Count: 60},
+		logstore.Record{Set: wideSet(3, 5, 8, 13, 21, 22), Count: 110},
+		logstore.Record{Set: wideSet(0, 9, 10, 11, 12), Count: 40},
 	)
-	c, err := headroom.BuildMaxSpan(context.Background(), grouping, aggs, log, 2)
+	c, err := headroom.Build(context.Background(), grouping, aggs, log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mode := c.Summaries()[0].Mode; mode != "sparse" {
-		t.Fatalf("mode = %q, want sparse (span 5 > budget 2)", mode)
+	if bits := c.Summaries()[0].SpanBits; bits != 24 {
+		t.Fatalf("span = %d bits, want 24", bits)
 	}
-	for s := bitset.Mask(1); s < 1<<5; s++ {
+	queries := []bitset.Mask{
+		wideSet(0, 1, 2, 3, 4, 5, 6, 7), wideSet(3, 5, 8, 13, 21, 22),
+		wideSet(0, 9, 10, 11, 12), wideSet(1, 2, 4, 6, 14, 15, 16, 17, 18),
+		bitset.FullMask(24),
+	}
+	for _, s := range queries {
 		room, err := c.Headroom(s)
 		if err != nil {
 			t.Fatalf("Headroom(%v): %v", s, err)
 		}
-		if want := oracleRoom(t, 5, log, aggs, s); room != want {
-			t.Errorf("sparse Headroom(%v) = %d, oracle %d", s, room, want)
+		if want := oracleRoom(t, 24, log, aggs, s); room != want {
+			t.Errorf("Headroom(%v) = %d, oracle %d", s, room, want)
 		}
 	}
-	// Admissions still work and stay consistent with the log.
 	ctx := context.Background()
-	set := bitset.MaskOf(2, 3)
-	want := oracleRoom(t, 5, log, aggs, set)
+	set := wideSet(0, 9, 10, 11, 12)
+	want := oracleRoom(t, 24, log, aggs, set)
 	room, ok, err := c.Admit(ctx, set, want)
 	if err != nil || !ok || room != want {
-		t.Fatalf("sparse Admit: room=%d ok=%v err=%v, want room=%d ok", room, ok, err, want)
+		t.Fatalf("Admit: room=%d ok=%v err=%v, want room=%d ok", room, ok, err, want)
 	}
 	if err := log.Append(logstore.Record{Set: set, Count: want}); err != nil {
 		t.Fatal(err)
 	}
 	c.Confirm()
 	if _, ok, _ := c.Admit(ctx, set, 1); ok {
-		t.Fatal("admission above exhausted budget accepted in sparse mode")
+		t.Fatal("admission above exhausted budget accepted")
+	}
+	for _, s := range queries {
+		room, _ := c.Headroom(s)
+		if want := oracleRoom(t, 24, log, aggs, s); room != want {
+			t.Errorf("drained Headroom(%v) = %d, oracle %d", s, room, want)
+		}
 	}
 	if _, err := c.Verify(ctx, log); err != nil {
-		t.Fatalf("Verify in sparse mode: %v", err)
+		t.Fatalf("Verify: %v", err)
 	}
 }
 
-// TestSpanOverflowDuringAdmit grows a dense group past its budget at
-// admission time and checks the sparse fallback keeps exact answers.
+// TestSpanOverflowDuringAdmit grows a group's span past 20 licenses at
+// admission time — where the dense table once overflowed — and checks
+// every admission and the final headrooms stay exact.
 func TestSpanOverflowDuringAdmit(t *testing.T) {
-	grouping := overlap.Grouping{N: 4, Groups: []overlap.Group{
-		{Members: bitset.FullMask(4), Size: 4},
+	grouping := overlap.Grouping{N: 24, Groups: []overlap.Group{
+		{Members: bitset.FullMask(24), Size: 24},
 	}}
-	aggs := []int64{50, 60, 70, 80}
+	aggs := make([]int64, 24)
+	for i := range aggs {
+		aggs[i] = 50 + int64(i)
+	}
 	log := memLog(t)
-	c, err := headroom.BuildMaxSpan(context.Background(), grouping, aggs, log, 2)
+	c, err := headroom.Build(context.Background(), grouping, aggs, log)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for i, set := range []bitset.Mask{bitset.MaskOf(0), bitset.MaskOf(1), bitset.MaskOf(2, 3)} {
-		want := oracleRoom(t, 4, log, aggs, set)
+	var low, high bitset.Mask
+	for i := 0; i < 12; i++ {
+		low, high = low.With(i), high.With(12+i)
+	}
+	steps := []bitset.Mask{low, high.Without(23).Without(22), high, wideSet(0, 1, 2, 12, 13, 14, 15)}
+	for i, set := range steps {
+		want := oracleRoom(t, 24, log, aggs, set)
 		room, ok, err := c.Admit(ctx, set, 5)
 		if err != nil || !ok || room != want {
 			t.Fatalf("step %d Admit(%v): room=%d ok=%v err=%v, oracle %d", i, set, room, ok, err, want)
@@ -301,20 +329,20 @@ func TestSpanOverflowDuringAdmit(t *testing.T) {
 		}
 		c.Confirm()
 	}
-	if mode := c.Summaries()[0].Mode; mode != "sparse" {
-		t.Fatalf("mode = %q after span overflow, want sparse", mode)
+	if bits := c.Summaries()[0].SpanBits; bits != 24 {
+		t.Fatalf("span = %d bits after growth, want 24", bits)
 	}
-	for s := bitset.Mask(1); s < 1<<4; s++ {
+	for _, s := range append(steps, wideSet(5, 17, 20), low.With(12)) {
 		room, err := c.Headroom(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := oracleRoom(t, 4, log, aggs, s); room != want {
-			t.Errorf("post-overflow Headroom(%v) = %d, oracle %d", s, room, want)
+		if want := oracleRoom(t, 24, log, aggs, s); room != want {
+			t.Errorf("post-growth Headroom(%v) = %d, oracle %d", s, room, want)
 		}
 	}
 	if _, err := c.Verify(ctx, log); err != nil {
-		t.Fatalf("Verify after overflow: %v", err)
+		t.Fatalf("Verify after growth: %v", err)
 	}
 }
 

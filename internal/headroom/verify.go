@@ -2,9 +2,10 @@
 // from the cache, batch audits stop being the gatekeeper and become the
 // invariant checker — after a clean audit the engine calls Verify, which
 // rebuilds the slack state from the issuance log and cross-checks every
-// cached count, table entry, and group minimum. Any mismatch means the
-// incremental maintenance drifted from ground truth and surfaces as a
-// KindHeadroomDivergence error plus drm_headroom_divergence_total.
+// cached count, transfer total, span, and group deficit. Any mismatch
+// means the incremental maintenance drifted from ground truth and
+// surfaces as a KindHeadroomDivergence error plus
+// drm_headroom_divergence_total.
 
 package headroom
 
@@ -36,11 +37,11 @@ type VerifyResult struct {
 }
 
 // Verify rebuilds a shadow cache from the log and compares it against
-// the live state: observed-set counts, dense slack tables (translated
-// across coordinate orderings), and group minimums. The cache is locked
-// exclusively for the duration, so a verified snapshot is consistent;
-// admissions queue behind it. Divergence returns a typed error matching
-// ErrDivergence.
+// the live state: observed-set counts, transfer totals, spans, and group
+// deficits (the shadow's from a fresh cut, the live one as maintained
+// incrementally). The cache is locked exclusively for the duration, so a
+// verified snapshot is consistent; admissions queue behind it.
+// Divergence returns a typed error matching ErrDivergence.
 func (c *Cache) Verify(ctx context.Context, log logstore.Store) (VerifyResult, error) {
 	ctx, sp := trace.Start(ctx, "headroom.verify")
 	res, err := c.verify(ctx, log)
@@ -62,7 +63,7 @@ func (c *Cache) verify(ctx context.Context, log logstore.Store) (VerifyResult, e
 		M.VerifySkipped.Inc()
 		return VerifyResult{Skipped: true, Pending: p}, nil
 	}
-	shadow, err := buildMaxSpan(ctx, c.grouping, c.aggs, log, c.maxSpanBits)
+	shadow, err := build(ctx, c.grouping, c.aggs, log)
 	if err != nil {
 		return VerifyResult{}, err
 	}
@@ -88,13 +89,14 @@ func (c *Cache) verifyGroup(k int, g, sg *group, res *VerifyResult) error {
 		return drmerr.New(drmerr.KindHeadroomDivergence, "headroom.verify",
 			"headroom: group %d diverges from log: "+format, append([]any{k}, args...)...)
 	}
-	if len(g.cnt) != len(sg.cnt) {
-		return diverge("%d cached observed sets, log has %d", len(g.cnt), len(sg.cnt))
+	if len(g.sets) != len(sg.sets) || g.total != sg.total {
+		return diverge("%d cached observed sets totalling %d, log has %d totalling %d",
+			len(g.sets), g.total, len(sg.sets), sg.total)
 	}
-	for set, n := range sg.cnt {
+	for i, set := range sg.sets {
 		res.Entries++
-		if got := g.cnt[set]; got != n {
-			return diverge("set %v cached count %d, log says %d", set, got, n)
+		if got := g.count(set); got != sg.cnt[i] {
+			return diverge("set %v cached count %d, log says %d", set, got, sg.cnt[i])
 		}
 	}
 	if len(g.xfer) != len(sg.xfer) {
@@ -109,41 +111,11 @@ func (c *Cache) verifyGroup(k int, g, sg *group, res *VerifyResult) error {
 	if g.span != sg.span {
 		return diverge("cached span %v, log implies %v", g.span, sg.span)
 	}
-	if g.dense != sg.dense {
-		return diverge("cached mode dense=%v, log implies dense=%v", g.dense, sg.dense)
-	}
-	if g.dense {
-		// Same span, possibly different coordinate orderings: compare by
-		// translating every shadow entry through the global mask.
-		if len(g.table) != len(sg.table) {
-			return diverge("table size %d, want %d", len(g.table), len(sg.table))
-		}
-		for t := 1; t < len(sg.table); t++ {
-			res.Entries++
-			global := sg.expand(bitset.Mask(t))
-			if got := g.table[g.spanCoord(global)]; got != sg.table[t] {
-				return diverge("slack for %v cached %d, recomputed %d", global, got, sg.table[t])
-			}
-		}
-		if got, want := g.minSlack.Load(), sg.minSlack.Load(); got != want {
-			return diverge("min slack cached %d, recomputed %d", got, want)
-		}
-	} else {
-		// Sparse minimums are exact when ≤ 0, which is all admission ever
-		// reads of them (the deficit term).
-		got, want := g.minSlack.Load(), sg.minSlack.Load()
-		if min64(0, got) != min64(0, want) {
-			return diverge("deficit cached %d, recomputed %d", min64(0, got), min64(0, want))
-		}
+	res.Entries++
+	if got, want := g.deficit.Load(), sg.deficit.Load(); got != want {
+		return diverge("deficit cached %d, recomputed %d", got, want)
 	}
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // GroupSummary is the per-group view the drmserver debug endpoint and
@@ -154,17 +126,14 @@ type GroupSummary struct {
 	Group   int    `json:"group"`
 	Members string `json:"members"`
 	Size    int    `json:"size"`
-	// Mode is "dense" (slack table over the observed span) or "sparse"
-	// (closure walk, span outgrew the table budget).
-	Mode string `json:"mode"`
-	// SpanBits and ObservedSets describe the pruning frontier; TableBytes
-	// is the dense table's resident size.
-	SpanBits     int   `json:"span_bits"`
-	ObservedSets int   `json:"observed_sets"`
-	TableBytes   int64 `json:"table_bytes"`
+	// SpanBits and ObservedSets describe the cut network: span licenses
+	// and observed sets.
+	SpanBits     int `json:"span_bits"`
+	ObservedSets int `json:"observed_sets"`
 	// MinSlack is the group's tightest remaining slack (Unbounded when no
-	// equation is active yet); Deficit = min(0, MinSlack) is what other
-	// groups' admissions subtract.
+	// equation is active yet), computed on demand with one cut per span
+	// license; Deficit = min(0, MinSlack) is what other groups'
+	// admissions subtract.
 	MinSlack  int64 `json:"min_slack"`
 	Unbounded bool  `json:"unbounded,omitempty"`
 	Deficit   int64 `json:"deficit"`
@@ -180,26 +149,19 @@ func (c *Cache) Summaries() []GroupSummary {
 	out := make([]GroupSummary, len(c.groups))
 	for k, g := range c.groups {
 		g.mu.Lock()
-		mode := "dense"
-		if !g.dense {
-			mode = "sparse"
-		}
-		ms := g.minSlack.Load()
-		s := GroupSummary{
+		ms := c.minSlackLocked(g)
+		out[k] = GroupSummary{
 			Group:        k,
 			Members:      g.members.String(),
 			Size:         g.members.Len(),
-			Mode:         mode,
-			SpanBits:     len(g.spanElems),
-			ObservedSets: len(g.cnt),
-			TableBytes:   int64(8 * len(g.table)),
+			SpanBits:     g.span.Len(),
+			ObservedSets: len(g.sets),
 			MinSlack:     ms,
 			Unbounded:    ms == unbounded,
-			Deficit:      min64(0, ms),
+			Deficit:      g.deficit.Load(),
 			Rejections:   g.rejections.Load(),
 		}
 		g.mu.Unlock()
-		out[k] = s
 	}
 	return out
 }
@@ -213,9 +175,7 @@ func (c *Cache) SampleSets(max int) []bitset.Mask {
 	var all []bitset.Mask
 	for _, g := range c.groups {
 		g.mu.Lock()
-		for set := range g.cnt {
-			all = append(all, set)
-		}
+		all = append(all, g.sets...)
 		g.mu.Unlock()
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })

@@ -18,10 +18,12 @@ type Metrics struct {
 	Fsyncs       *obs.Counter
 	FsyncSeconds *obs.Histogram
 	// Rotations counts segment rolls; Segments is the live segment-file
-	// count; SegmentsCompacted counts files retired by compaction.
+	// count; SegmentsCompacted counts files retired by compaction and
+	// CompactionErrors the compaction passes that failed.
 	Rotations         *obs.Counter
 	Segments          *obs.Gauge
 	SegmentsCompacted *obs.Counter
+	CompactionErrors  *obs.Counter
 	// Snapshots counts checkpoints, SnapshotSeconds their wall time,
 	// SnapshotRecords the compacted entry count of the latest one, and
 	// SnapshotUnix its install time (age = now − SnapshotUnix).
@@ -51,6 +53,8 @@ func Instrument(reg *obs.Registry) {
 			"Live WAL segment files."),
 		SegmentsCompacted: reg.Counter("drm_wal_segments_compacted_total",
 			"WAL segment files retired by online compaction."),
+		CompactionErrors: reg.Counter("drm_wal_compaction_errors_total",
+			"WAL compaction passes that failed to retire covered segments."),
 		Snapshots: reg.Counter("drm_wal_snapshots_total",
 			"WAL snapshots installed."),
 		SnapshotSeconds: reg.Histogram("drm_wal_snapshot_seconds",

@@ -116,13 +116,16 @@ type SnapshotInfo struct {
 	Offset  int64  `json:"offset"`
 	// Duration is the checkpoint's wall time.
 	Duration time.Duration `json:"duration_ns"`
+	// Retired counts the segment files the checkpoint's compaction
+	// removed.
+	Retired int `json:"retired"`
 }
 
 // Snapshot checkpoints the store: fsync the active segment (the
 // watermark invariant — the watermark never points past durable bytes),
 // compact snapshot+tail into per-set counts, atomically install the new
-// snapshot document, and retire fully covered segments in the background.
-// Appends proceed as soon as the method returns; the store stays open
+// snapshot document, and retire the segments it fully covers. Appends
+// proceed as soon as the method returns; the store stays open
 // throughout.
 func (s *Store) Snapshot() (SnapshotInfo, error) {
 	return s.SnapshotContext(context.Background())
@@ -192,13 +195,12 @@ func (s *Store) snapshotLocked(ctx context.Context) (SnapshotInfo, error) {
 	M.SnapshotSeconds.Observe(info.Duration.Seconds())
 	M.SnapshotRecords.Set(int64(len(merged)))
 	M.SnapshotUnix.Set(s.lastSnap.Unix())
-	// Online compaction: segments wholly below the watermark are now
-	// redundant; retire them without blocking appenders.
-	s.compactWG.Add(1)
-	go func() {
-		defer s.compactWG.Done()
-		s.Compact()
-	}()
+	// Segments wholly below the watermark are now redundant. Retiring
+	// them here, under the store lock, makes the snapshot compaction's
+	// only owner: no background pass races an explicit Compact. A failed
+	// removal leaves the snapshot valid and is retried by the next one;
+	// drm_wal_compaction_errors_total counts it.
+	info.Retired, _ = s.compactLocked()
 	return info, nil
 }
 
@@ -219,12 +221,29 @@ func (s *Store) SnapshotSeq() uint64 {
 
 // Compact removes segment files wholly covered by the installed
 // snapshot — every segment with an index below the watermark segment —
-// and returns how many were retired. Snapshot schedules this in the
-// background; calling it directly is safe and idempotent.
+// and returns how many were retired. Every snapshot already compacts
+// what it covers, so this finds work only after a failed removal;
+// calling it is safe and idempotent.
 func (s *Store) Compact() (int, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.compactLocked()
+}
+
+// removeSegment deletes one segment file; tests swap it to make a
+// retirement fail.
+var removeSegment = os.Remove
+
+// compactLocked retires the segments below the snapshot watermark,
+// counting a failure in drm_wal_compaction_errors_total. Caller holds
+// s.mu.
+func (s *Store) compactLocked() (removed int, err error) {
+	defer func() {
+		if err != nil {
+			M.CompactionErrors.Inc()
+		}
+	}()
 	watermark := s.snapSeg
-	s.mu.Unlock()
 	if watermark == 0 {
 		return 0, nil
 	}
@@ -232,12 +251,11 @@ func (s *Store) Compact() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	removed := 0
 	for _, idx := range segs {
 		if idx >= watermark {
 			break
 		}
-		if err := os.Remove(segmentPath(s.dir, idx)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := removeSegment(segmentPath(s.dir, idx)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return removed, fmt.Errorf("wal: retiring segment %d: %w", idx, err)
 		}
 		removed++

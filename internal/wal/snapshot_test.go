@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/drmerr"
 	"repro/internal/logstore"
+	"repro/internal/obs"
 )
 
 // smallSeg keeps 4 frames per segment so snapshots and compaction have
@@ -88,10 +89,13 @@ func TestCompactionRetiresSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Snapshot(); err != nil {
+	info, err := s.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.compactWG.Wait()
+	if info.Retired != 4 {
+		t.Errorf("snapshot retired %d segments, want 4", info.Retired)
+	}
 	segs, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +191,61 @@ func TestCorruptSnapshotSurfaces(t *testing.T) {
 	s2.Close()
 }
 
+// TestCompactionErrorCounted fails the removal of a covered segment and
+// checks the snapshot still installs, the failure is counted, and a
+// later Compact retires what was left.
+func TestCompactionErrorCounted(t *testing.T) {
+	defer func(old Metrics) { M = old }(M)
+	Instrument(obs.NewRegistry())
+	dir := t.TempDir()
+	s, err := Open(dir, smallSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, r := range testRecords(20) {
+		if err := s.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := segmentPath(dir, segs[1])
+	defer func(old func(string) error) { removeSegment = old }(removeSegment)
+	removeSegment = func(path string) error {
+		if path == stuck {
+			return errors.New("injected: segment busy")
+		}
+		return os.Remove(path)
+	}
+	info, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot with a stuck segment: %v", err)
+	}
+	if got := M.CompactionErrors.Value(); got != 1 {
+		t.Fatalf("compaction errors = %d, want 1", got)
+	}
+	if _, err := s.Compact(); err == nil {
+		t.Fatal("Compact over a stuck segment reported no error")
+	}
+	if got := M.CompactionErrors.Value(); got != 2 {
+		t.Fatalf("compaction errors = %d after explicit Compact, want 2", got)
+	}
+	removeSegment = os.Remove
+	if n, err := s.Compact(); err != nil || n == 0 {
+		t.Fatalf("retry Compact = %d, %v; want the remaining covered segments", n, err)
+	}
+	left, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || left[0] != s.snapSeg || info.Retired != 1 {
+		t.Fatalf("segments after retry = %v (snapshot retired %d), want only watermark %d", left, info.Retired, s.snapSeg)
+	}
+}
+
 func TestSnapshotMissingWatermarkSegment(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, smallSeg)
@@ -201,7 +260,6 @@ func TestSnapshotMissingWatermarkSegment(t *testing.T) {
 	if _, err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	s.compactWG.Wait()
 	watermark := s.snapSeg
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -26,8 +26,9 @@
 //     (the suffix a crashed append leaves), and surfaces mid-log
 //     corruption — a bad frame with valid frames after it — as a typed
 //     drmerr.KindStoreCorrupt error instead of guessing.
-//   - Compaction retires segments wholly covered by the snapshot in the
-//     background, without closing the store.
+//   - Compaction retires segments wholly covered by the snapshot, as the
+//     last step of the snapshot that covered them, without closing the
+//     store.
 //
 // Invariants:
 //
@@ -204,9 +205,8 @@ type Store struct {
 
 	buf []byte // frame scratch, reused across appends
 
-	stopSync  chan struct{}
-	syncDone  chan struct{}
-	compactWG sync.WaitGroup
+	stopSync chan struct{}
+	syncDone chan struct{}
 
 	rec RecoveryStats
 }
@@ -781,7 +781,6 @@ func (s *Store) Close() error {
 		close(s.stopSync)
 		<-s.syncDone
 	}
-	s.compactWG.Wait()
 	if err := s.f.Close(); err != nil {
 		return fmt.Errorf("wal: close: %w", err)
 	}
