@@ -10,11 +10,12 @@
 //	drmaudit -corpus corpus.json -log log.jsonl -migrate-wal issued.wal
 //	drmaudit -corpus corpus.json -log log.jsonl -trace out.json  # Perfetto trace
 //
-// The issuance log may be a JSONL file or a WAL directory (internal/wal);
-// -log-backend auto (the default) tells them apart by whether -log is a
-// directory. -repair truncates a torn JSONL tail (a WAL repairs its own
-// tail during recovery). -migrate-wal converts the log into a fresh WAL
-// store, snapshot included, after the audit passes over it.
+// The issuance log may be a JSONL file or a WAL directory (internal/wal):
+// a directory is read as a WAL, anything else as JSONL. -repair truncates
+// a torn JSONL tail (a WAL repairs its own tail during recovery).
+// -migrate-wal converts the log into a fresh WAL store, snapshot
+// included, after the audit passes over it — the step that turns a JSONL
+// log into one drmserver can serve.
 //
 // It prints the grouping, the theoretical gain, per-stage timings, and any
 // violated validation equations. -workers (default: all CPUs) bounds the
@@ -83,9 +84,7 @@ func run(args []string, out io.Writer) (int, error) {
 		signed      = fs.Bool("signed", false, "treat -corpus as an Ed25519-signed document and verify it")
 		issuerKey   = fs.String("issuer", "", "pinned issuer public key (base64; with -signed)")
 		compactLog  = fs.Bool("compact", false, "compact the log in place after reading it (JSONL rewrite, or WAL snapshot + segment retirement)")
-		logBackend  = fs.String("log-backend", "auto",
-			"issuance log backend: auto (directory = wal, file = jsonl), jsonl, or wal")
-		repairLog = fs.Bool("repair", false,
+		repairLog   = fs.Bool("repair", false,
 			"truncate a torn JSONL tail before reading (WAL recovery repairs its own tail)")
 		migrateWAL = fs.String("migrate-wal", "",
 			"after the audit, migrate the log records into a fresh WAL store at this directory and snapshot it")
@@ -145,10 +144,7 @@ func run(args []string, out io.Writer) (int, error) {
 		}
 	}
 
-	isWAL, err := detectWAL(*logPath, *logBackend)
-	if err != nil {
-		return 0, err
-	}
+	isWAL := detectWAL(*logPath)
 	if *repairLog && !isWAL {
 		removed, err := logstore.RepairFile(*logPath)
 		if err != nil {
@@ -412,23 +408,11 @@ func run(args []string, out io.Writer) (int, error) {
 	return 2, nil
 }
 
-// detectWAL resolves the -log-backend flag against what exists at path:
-// "auto" answers wal exactly when path is a directory.
-func detectWAL(path, backend string) (bool, error) {
-	switch backend {
-	case "jsonl":
-		return false, nil
-	case "wal":
-		return true, nil
-	case "auto":
-		fi, err := os.Stat(path)
-		if err == nil && fi.IsDir() {
-			return true, nil
-		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("unknown log backend %q (want auto, jsonl, or wal)", backend)
-	}
+// detectWAL reports whether path is a directory — how -log tells a WAL from
+// a JSONL file.
+func detectWAL(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.IsDir()
 }
 
 // migrateToWAL writes the in-memory log into a fresh WAL store at dir and

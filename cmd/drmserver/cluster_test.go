@@ -284,8 +284,8 @@ func TestStandaloneRoleProbe(t *testing.T) {
 	if info.Role != cluster.RoleStandalone || !info.Ready {
 		t.Fatalf("standalone role = %+v", info)
 	}
-	// A JSONL-backed server has no frames to ship: typed 409.
-	if code := getJSON(t, ts.URL+"/v1/repl/wal?segment=1&offset=16&seq=0", nil); code != http.StatusConflict {
-		t.Fatalf("jsonl repl/wal: %d, want 409", code)
+	// Every single-corpus server ships its WAL frames, standalone too.
+	if code := getJSON(t, ts.URL+"/v1/repl/wal?segment=1&offset=16&seq=0", nil); code != http.StatusOK {
+		t.Fatalf("standalone repl/wal: %d, want 200", code)
 	}
 }

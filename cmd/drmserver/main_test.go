@@ -6,24 +6,31 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/geometry"
 	"repro/internal/license"
-	"repro/internal/logstore"
+	"repro/internal/wal"
 )
+
+// openTestLog opens a fresh issuance WAL in a temp dir, closed at cleanup.
+func openTestLog(t *testing.T) *wal.Store {
+	t.Helper()
+	store, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
+}
 
 // newTestServer wires the paper's Example 1 corpus behind the HTTP API.
 func newTestServer(t *testing.T, mode engine.Mode) (*httptest.Server, *license.Example1) {
 	t.Helper()
 	ex := license.NewExample1()
-	store, err := logstore.OpenFile(filepath.Join(t.TempDir(), "issued.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
+	store := openTestLog(t)
 	srv, err := newServer(ex.Corpus, store, mode, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +121,12 @@ func TestGroupsEndpoint(t *testing.T) {
 // usageValues builds the wire form of L_U^1's rectangle (period inside
 // L1∩L2, region India).
 func usageValues(ex *license.Example1) []license.ValueDoc {
-	rect := ex.Usage1.Rect
+	return rectValues(ex.Usage1.Rect)
+}
+
+// rectValues builds the wire form of an Example 1 (period × region)
+// rectangle.
+func rectValues(rect geometry.Rect) []license.ValueDoc {
 	iv := rect.Value(0).Interval()
 	lo, hi := iv.Lo, iv.Hi
 	return []license.ValueDoc{

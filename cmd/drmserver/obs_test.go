@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -16,7 +15,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/license"
-	"repro/internal/logstore"
 )
 
 // promSample matches one Prometheus text-format sample line; the label
@@ -92,8 +90,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := series[`drm_issue_total`]; got != 3 {
 		t.Errorf("issued counter = %v, want 3", got)
 	}
-	if got := series[`drm_log_appends_total`]; got != 3 {
-		t.Errorf("log appends = %v, want 3", got)
+	if got := series[`drm_wal_appends_total`]; got != 3 {
+		t.Errorf("wal appends = %v, want 3", got)
 	}
 	if got := series[`drm_audit_runs_total`]; got != 1 {
 		t.Errorf("audit runs = %v, want 1", got)
@@ -138,11 +136,7 @@ func TestMiddlewareStatusClasses(t *testing.T) {
 // the drain flag is set, and readyz reports the loaded corpus.
 func TestHealthzDrainAware(t *testing.T) {
 	ex := license.NewExample1()
-	store, err := logstore.OpenFile(filepath.Join(t.TempDir(), "issued.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
+	store := openTestLog(t)
 	srv, err := newServer(ex.Corpus, store, engine.ModeOnline, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/engine"
@@ -11,16 +10,12 @@ import (
 	"repro/internal/wal"
 )
 
-// newWALTestServer is newTestServer with the issuance log on the WAL
-// backend.
+// newWALTestServer is newTestServer that also hands back the issuance
+// log.
 func newWALTestServer(t *testing.T) (*httptest.Server, *license.Example1, *wal.Store) {
 	t.Helper()
 	ex := license.NewExample1()
-	store, err := wal.Open(filepath.Join(t.TempDir(), "issued.wal"), wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
+	store := openTestLog(t)
 	srv, err := newServer(ex.Corpus, store, engine.ModeOnline, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -60,16 +55,5 @@ func TestSnapshotEndpointWAL(t *testing.T) {
 	}
 	if !audit.OK {
 		t.Errorf("audit after snapshot = %+v", audit)
-	}
-}
-
-func TestSnapshotEndpointJSONLConflict(t *testing.T) {
-	ts, _ := newTestServer(t, engine.ModeOnline)
-	var e errorBody
-	if code := postJSON(t, ts.URL+"/v1/snapshot", nil, &e); code != http.StatusConflict {
-		t.Fatalf("snapshot on jsonl backend: status = %d, want 409", code)
-	}
-	if e.Error == "" {
-		t.Error("empty error body")
 	}
 }

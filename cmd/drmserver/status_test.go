@@ -4,7 +4,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/license"
-	"repro/internal/logstore"
 	"repro/internal/slo"
 	"repro/internal/trace"
 )
@@ -276,11 +274,7 @@ func TestCatalogUnknownEntryError(t *testing.T) {
 // drain itself can be watched.
 func TestDrainGuard503(t *testing.T) {
 	ex := license.NewExample1()
-	store, err := logstore.OpenFile(filepath.Join(t.TempDir(), "issued.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
+	store := openTestLog(t)
 	srv, err := newServer(ex.Corpus, store, engine.ModeOnline, 2)
 	if err != nil {
 		t.Fatal(err)

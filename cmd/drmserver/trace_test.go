@@ -78,7 +78,7 @@ func spanTreeReaches(rec *trace.TraceRecord, name string) bool {
 }
 
 // TestTracedIssueEndToEnd is the acceptance-criteria walk: under
-// slow=0 sampling a WAL-backed issue produces a retained trace whose
+// slow=0 sampling an issue produces a retained trace whose
 // span tree reaches wal.append; a failing issue yields the same
 // trace_id in the slog request line and the JSON error body; and the
 // retained ring exports valid Chrome Trace Event JSON.

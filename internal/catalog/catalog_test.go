@@ -10,6 +10,8 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/interval"
 	"repro/internal/license"
+	"repro/internal/logstore"
+	"repro/internal/wal"
 )
 
 // testCorpus builds a small single-axis corpus for the given pair.
@@ -241,12 +243,15 @@ func TestKeyEscaping(t *testing.T) {
 	}
 }
 
-func TestFlushMakesRecordsDurable(t *testing.T) {
+// TestRecordsVisibleBeforeClose: an acknowledged issuance is on disk
+// while the catalog is still open — an independent WAL open sees it.
+func TestRecordsVisibleBeforeClose(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir, engine.ModeOffline)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	corpus := testCorpus(t, "m9", license.Play, 100)
 	e, err := c.Add(corpus)
 	if err != nil {
@@ -255,19 +260,16 @@ func TestFlushMakesRecordsDurable(t *testing.T) {
 	if _, err := e.Dist.Issue(license.Usage, usageRect(t, corpus, 1, 2), 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// The record is visible to an independent reader before Close.
-	logPath := filepath.Join(dir, "m9__play"+logSuffix)
-	data, err := os.ReadFile(logPath)
+	reader, err := wal.Open(filepath.Join(dir, "m9__play"+walSuffix), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) == 0 {
-		t.Error("flushed log is empty")
-	}
-	if err := c.Close(); err != nil {
+	defer reader.Close()
+	recs, err := logstore.Collect(reader)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Count != 10 {
+		t.Errorf("independent reader sees %+v, want one record of 10", recs)
 	}
 }

@@ -3,6 +3,7 @@ package catalog
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -10,7 +11,7 @@ import (
 	"repro/internal/wal"
 )
 
-var walCfg = Config{Mode: engine.ModeOnline, Backend: BackendWAL}
+var walCfg = Config{Mode: engine.ModeOnline}
 
 func TestWALBackendReopenResumesState(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cat")
@@ -22,9 +23,6 @@ func TestWALBackendReopenResumesState(t *testing.T) {
 	e, err := c.Add(corpus)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.WAL() == nil {
-		t.Fatal("new entry is not WAL-backed under BackendWAL")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "m__play.wal")); err != nil {
 		t.Fatalf("WAL dir missing: %v", err)
@@ -50,6 +48,9 @@ func TestWALBackendReopenResumesState(t *testing.T) {
 	if e2.Log.Len() != 3 {
 		t.Errorf("reopened log Len = %d, want 3", e2.Log.Len())
 	}
+	if st := e2.Dist.Stats(); st.Issued != 3 || st.IssuedCounts != 60 {
+		t.Errorf("reopened stats = %+v, want the 3 recovered issues of 60", st)
+	}
 	// 100 − 60 issued leaves 40 of headroom: online mode enforces it.
 	r := usageRect(t, e2.Corpus, 1, 3)
 	if _, err := e2.Dist.Issue(license.Usage, r, 41); err == nil {
@@ -60,44 +61,35 @@ func TestWALBackendReopenResumesState(t *testing.T) {
 	}
 }
 
-// TestBackendAutoDetect opens a catalog holding one JSONL entry and one
-// WAL entry with either configured default: each entry must keep its
-// on-disk backend.
+// TestBackendAutoDetect: a catalog entry still holding a JSONL log is
+// refused with the migration command, never shadowed by a fresh WAL.
 func TestBackendAutoDetect(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cat")
-	c, err := Open(dir, engine.ModeOnline) // default: jsonl
+	c, err := Open(dir, engine.ModeOnline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Add(testCorpus(t, "jsonl-movie", license.Play, 50)); err != nil {
+	if _, err := c.Add(testCorpus(t, "movie", license.Play, 50)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c, err = OpenWith(dir, walCfg)
-	if err != nil {
+	// Replace the entry's WAL with a JSONL log, as a pre-WAL catalog
+	// directory holds it.
+	stem := filepath.Join(dir, "movie__play")
+	if err := os.RemoveAll(stem + walSuffix); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Add(testCorpus(t, "wal-movie", license.Play, 50)); err != nil {
+	if err := os.WriteFile(stem+logSuffix, []byte("{\"set\":1,\"count\":5}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
+	_, err = Open(dir, engine.ModeOnline)
+	if err == nil || !strings.Contains(err.Error(), "-migrate-wal") {
+		t.Fatalf("open over a JSONL entry: err = %v, want the -migrate-wal hint", err)
 	}
-
-	for _, backend := range []Backend{BackendJSONL, BackendWAL} {
-		c, err := OpenWith(dir, Config{Mode: engine.ModeOnline, Backend: backend})
-		if err != nil {
-			t.Fatalf("backend %s: %v", backend, err)
-		}
-		if got := c.Get("jsonl-movie", license.Play).WAL(); got != nil {
-			t.Errorf("backend %s: jsonl entry reopened as WAL", backend)
-		}
-		if got := c.Get("wal-movie", license.Play).WAL(); got == nil {
-			t.Errorf("backend %s: wal entry reopened as JSONL", backend)
-		}
-		c.Close()
+	if _, serr := os.Stat(stem + walSuffix); !os.IsNotExist(serr) {
+		t.Errorf("refused open created %s (stat err %v)", stem+walSuffix, serr)
 	}
 }
 
@@ -129,20 +121,8 @@ func TestSnapshotAll(t *testing.T) {
 	if info.Seq != 4 {
 		t.Errorf("snapshot Seq = %d, want 4", info.Seq)
 	}
-	if e.WAL().SnapshotSeq() != 4 {
-		t.Errorf("store SnapshotSeq = %d, want 4", e.WAL().SnapshotSeq())
-	}
-}
-
-func TestParseBackend(t *testing.T) {
-	for in, want := range map[string]Backend{"jsonl": BackendJSONL, "wal": BackendWAL} {
-		got, err := ParseBackend(in)
-		if err != nil || got != want {
-			t.Errorf("ParseBackend(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseBackend("csv"); err == nil {
-		t.Error("ParseBackend accepted csv")
+	if e.Log.SnapshotSeq() != 4 {
+		t.Errorf("store SnapshotSeq = %d, want 4", e.Log.SnapshotSeq())
 	}
 }
 
@@ -165,10 +145,10 @@ func TestWALConfigPropagates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.WAL().SnapshotSeq(); got != 4 {
+	if got := e.Log.SnapshotSeq(); got != 4 {
 		t.Errorf("SnapshotSeq = %d, want 4 (auto-snapshot every 2)", got)
 	}
-	st := e.WAL().RecoveryStats()
+	st := e.Log.RecoveryStats()
 	if st.SnapshotRecords != 0 || st.TailRecords != 0 || st.TruncatedBytes != 0 {
 		t.Errorf("fresh store has nonzero recovery stats: %+v", st)
 	}

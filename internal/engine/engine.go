@@ -227,7 +227,7 @@ func (d *Distributor) AddRedistribution(l *license.License) (int, error) {
 
 // ensureCache returns a headroom cache consistent with the corpus and
 // the log, building or refreshing it as needed. The first build replays
-// the log (for a WAL-backed store that is snapshot + tail — the
+// the log (for a WAL store that is snapshot + tail — the
 // recovery warm-up); corpus changes rebuild from the cache's retained
 // counts without touching the log.
 func (d *Distributor) ensureCache(ctx context.Context) (*headroom.Cache, error) {

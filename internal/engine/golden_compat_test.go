@@ -139,16 +139,13 @@ func TestV1KindlessLogCompat(t *testing.T) {
 		t.Fatal("v1 JSONL artifact contains a kind key; it must stay kindless")
 	}
 
-	scratch := t.TempDir()
-	jsonlCopy := filepath.Join(scratch, "issued.jsonl")
-	copyTree(t, jsonlPath, jsonlCopy)
-	fileStore, err := logstore.OpenFile(jsonlCopy)
-	if err != nil {
+	fileStore := logstore.NewMem(0)
+	if err := logstore.ReadFile(jsonlPath, fileStore.Append); err != nil {
 		t.Fatal(err)
 	}
-	defer fileStore.Close()
 	fromJSONL := auditGolden(t, fileStore)
 
+	scratch := t.TempDir()
 	walCopy := filepath.Join(scratch, "wal")
 	copyTree(t, walDir, walCopy)
 	walStore, err := wal.Open(walCopy, wal.Options{})
@@ -186,16 +183,14 @@ func regenerateV1Artifacts(t *testing.T, td, jsonlPath, walDir, goldenPath strin
 	}
 	recs := v1CompatRecords()
 
-	fileStore, err := logstore.OpenFile(jsonlPath)
+	f, err := os.Create(jsonlPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := fileStore.Append(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := logstore.WriteAll(f, recs); err != nil {
+		t.Fatal(err)
 	}
-	if err := fileStore.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,14 +207,11 @@ func regenerateV1Artifacts(t *testing.T, td, jsonlPath, walDir, goldenPath strin
 		t.Fatal(err)
 	}
 
-	reopened, err := logstore.OpenFile(jsonlPath)
-	if err != nil {
+	reopened := logstore.NewMem(0)
+	if err := logstore.ReadFile(jsonlPath, reopened.Append); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(goldenPath, auditGolden(t, reopened), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := reopened.Close(); err != nil {
 		t.Fatal(err)
 	}
 	t.Log("v1 compatibility artifacts regenerated")

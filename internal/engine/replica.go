@@ -41,29 +41,51 @@ func (d *Distributor) readOnlyErr(op string) error {
 // authoritative log. Safe to call concurrently with read traffic.
 func (d *Distributor) ApplyReplicated(ctx context.Context, recs []logstore.Record) {
 	for _, rec := range recs {
+		d.count(rec)
 		switch rec.Kind {
 		case logstore.KindIssue:
-			d.issued.Add(1)
-			d.issuedCounts.Add(rec.Count)
 			M.Issued.Inc()
 			M.IssuedCounts.Add(rec.Count)
 		case logstore.KindRevoke:
-			d.revoked.Add(1)
-			d.revokedCounts.Add(rec.Count)
 			M.Revoked.Inc()
 			M.RevokedCounts.Add(rec.Count)
 		case logstore.KindExpire:
-			d.expired.Add(1)
-			d.expiredCounts.Add(rec.Count)
 			M.Expired.Inc()
 			M.ExpiredCounts.Add(rec.Count)
 		case logstore.KindTransfer:
-			d.transferred.Add(1)
-			d.transferredCounts.Add(rec.Count)
 			M.Transferred.Inc()
 			M.TransferredCounts.Add(rec.Count)
 		}
 		d.applyReplicatedCache(ctx, rec)
+	}
+}
+
+// CountRecovered folds every record of the log the distributor was
+// opened over into its stats counters, so a restarted server's stats
+// report the history its log holds instead of starting from zero. Call
+// it once, before serving; the process metrics (M) are left alone.
+func (d *Distributor) CountRecovered(ctx context.Context) error {
+	return logstore.ForEachContext(ctx, d.log, func(rec logstore.Record) error {
+		d.count(rec)
+		return nil
+	})
+}
+
+// count folds one log record into the stats counters.
+func (d *Distributor) count(rec logstore.Record) {
+	switch rec.Kind {
+	case logstore.KindIssue:
+		d.issued.Add(1)
+		d.issuedCounts.Add(rec.Count)
+	case logstore.KindRevoke:
+		d.revoked.Add(1)
+		d.revokedCounts.Add(rec.Count)
+	case logstore.KindExpire:
+		d.expired.Add(1)
+		d.expiredCounts.Add(rec.Count)
+	case logstore.KindTransfer:
+		d.transferred.Add(1)
+		d.transferredCounts.Add(rec.Count)
 	}
 }
 

@@ -23,10 +23,21 @@ func writeLog(t *testing.T, content string) string {
 
 const threeRecords = "{\"set\":3,\"count\":800}\n{\"set\":2,\"count\":400}\n{\"set\":5,\"count\":100}\n"
 
+// readAll replays a JSONL file with ReadFile, returning the records
+// delivered before any error alongside it.
+func readAll(path string) ([]Record, error) {
+	var got []Record
+	err := ReadFile(path, func(r Record) error { got = append(got, r); return nil })
+	return got, err
+}
+
 func TestOpenFileTornTail(t *testing.T) {
 	// A crashed append leaves a half-written line at the end.
 	path := writeLog(t, threeRecords+"{\"set\":7,\"cou")
-	_, err := OpenFile(path)
+	got, err := readAll(path)
+	if len(got) != 3 {
+		t.Errorf("delivered %d records before the damage, want 3", len(got))
+	}
 	if !errors.Is(err, drmerr.ErrStoreCorrupt) {
 		t.Fatalf("err = %v, want store corrupt", err)
 	}
@@ -54,7 +65,7 @@ func TestOpenFileMidLogCorruption(t *testing.T) {
 	// Damage in the middle with valid records after it: not repairable by
 	// truncation.
 	path := writeLog(t, "{\"set\":3,\"count\":800}\n???garbage???\n{\"set\":2,\"count\":400}\n")
-	_, err := OpenFile(path)
+	_, err := readAll(path)
 	var cerr *CorruptError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CorruptError", err)
@@ -75,7 +86,7 @@ func TestOpenFileInvalidRecordIsCorrupt(t *testing.T) {
 	// Structurally valid JSON that fails Record.Validate is corruption
 	// too: the log never contains such rows by construction.
 	path := writeLog(t, "{\"set\":3,\"count\":800}\n{\"set\":0,\"count\":5}\n")
-	_, err := OpenFile(path)
+	_, err := readAll(path)
 	if !errors.Is(err, drmerr.ErrStoreCorrupt) {
 		t.Fatalf("err = %v, want store corrupt", err)
 	}
@@ -90,23 +101,27 @@ func TestRepairFileTornTail(t *testing.T) {
 	if removed != int64(len("{\"set\":7,\"cou")) {
 		t.Errorf("removed = %d, want %d", removed, len("{\"set\":7,\"cou"))
 	}
-	f, err := OpenFile(path)
+	got, err := readAll(path)
 	if err != nil {
-		t.Fatalf("OpenFile after repair: %v", err)
+		t.Fatalf("ReadFile after repair: %v", err)
 	}
-	defer f.Close()
-	if f.Len() != 3 {
-		t.Errorf("Len after repair = %d, want 3", f.Len())
+	if len(got) != 3 {
+		t.Errorf("records after repair = %d, want 3", len(got))
 	}
-	// Appends after repair land on a fresh line.
-	if err := f.Append(Record{Set: 9, Count: 7}); err != nil {
+	// The repaired file is newline-terminated: appended JSONL lands on a
+	// fresh line.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Flush(); err != nil {
+	if err := WriteAll(f, []Record{{Set: 9, Count: 7}}); err != nil {
 		t.Fatal(err)
 	}
-	var got []Record
-	if err := ReadFile(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err = readAll(path)
+	if err != nil {
 		t.Fatalf("re-read after repair+append: %v", err)
 	}
 	if len(got) != 4 || got[3] != (Record{Set: 9, Count: 7}) {
@@ -158,9 +173,9 @@ func TestCompactFileTornTailFailsCleanly(t *testing.T) {
 }
 
 // TestOpenFileTruncatedAtEveryOffset is the JSONL analogue of the WAL
-// crash sweep: a valid log cut at every byte offset must either open with
-// a record-count prefix or fail with a typed, repairable torn-tail error —
-// and after RepairFile it must always open.
+// crash sweep: a valid log cut at every byte offset must either read as a
+// record-count prefix or fail with a typed, repairable torn-tail error —
+// and after RepairFile it must always read cleanly.
 func TestOpenFileTruncatedAtEveryOffset(t *testing.T) {
 	full := []byte(threeRecords + "{\"set\":6,\"count\":123}\n")
 	dir := t.TempDir()
@@ -169,12 +184,11 @@ func TestOpenFileTruncatedAtEveryOffset(t *testing.T) {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		f, err := OpenFile(path)
+		got, err := readAll(path)
+		if len(got) > 4 {
+			t.Fatalf("cut %d: invented records: %d", cut, len(got))
+		}
 		if err == nil {
-			if f.Len() > 4 {
-				t.Fatalf("cut %d: invented records: Len = %d", cut, f.Len())
-			}
-			f.Close()
 			continue
 		}
 		var cerr *CorruptError
@@ -187,11 +201,9 @@ func TestOpenFileTruncatedAtEveryOffset(t *testing.T) {
 		if _, err := RepairFile(path); err != nil {
 			t.Fatalf("cut %d: RepairFile: %v", cut, err)
 		}
-		f, err = OpenFile(path)
-		if err != nil {
-			t.Fatalf("cut %d: OpenFile after repair: %v", cut, err)
+		if _, err := readAll(path); err != nil {
+			t.Fatalf("cut %d: ReadFile after repair: %v", cut, err)
 		}
-		f.Close()
 	}
 }
 
@@ -225,16 +237,7 @@ func FuzzReadFile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// An accepted log opens, scans to the same count, and needs no
-		// repair.
-		fl, oerr := OpenFile(path)
-		if oerr != nil {
-			t.Fatalf("ReadFile accepted but OpenFile rejected: %v", oerr)
-		}
-		if fl.Len() != len(records) {
-			t.Fatalf("OpenFile Len = %d, ReadFile saw %d", fl.Len(), len(records))
-		}
-		fl.Close()
+		// An accepted log needs no repair.
 		if removed, rerr := RepairFile(path); rerr != nil || removed != 0 {
 			t.Fatalf("clean log repaired: removed=%d err=%v", removed, rerr)
 		}

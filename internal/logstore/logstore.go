@@ -5,9 +5,11 @@
 // set of redistribution licenses (as a corpus-index mask) and the issued
 // permission count. The validation tree is later built by replaying the log.
 //
-// Two stores are provided: Mem (in-memory, the benchmark substrate) and
-// File (JSON-lines on disk with buffered appends, the durable substrate the
-// CLI tools and the engine use). Both implement Store.
+// Mem is the in-memory Store (the benchmark substrate); the durable
+// serving store is internal/wal. JSON lines are the interchange format:
+// ReadFile, Read, and WriteAll move whole logs in and out of it (drmgen
+// output, drmaudit input, migration into a WAL), and RepairFile and
+// CompactFile rewrite such files offline.
 package logstore
 
 import (
@@ -111,17 +113,6 @@ type Store interface {
 	// ForEach replays all records in append order, stopping at the first
 	// error returned by fn.
 	ForEach(fn func(Record) error) error
-}
-
-// Durable is a Store backed by persistent media: Flush pushes buffered
-// records toward the OS, Close releases the backing resources. Both
-// *File (JSONL) and *wal.Store (segmented checksummed WAL) implement it;
-// catalog entries hold their logs through this interface so the two
-// backends interchange.
-type Durable interface {
-	Store
-	Flush() error
-	Close() error
 }
 
 // ContextAppender is implemented by stores whose appends accept a
@@ -274,8 +265,8 @@ func Compact(records []Record) []Record {
 // Validation semantics are unchanged — the validation tree aggregates
 // identical sets anyway — but long-lived logs shrink by orders of
 // magnitude, since at most 2^{N_k}−1 distinct sets exist per group. The
-// rewrite is atomic (temp file + rename); the file must not be open in a
-// live File store. It returns the record counts before and after.
+// rewrite is atomic (temp file + rename). It returns the record counts
+// before and after.
 func CompactFile(path string) (before, after int, err error) {
 	var records []Record
 	if err := ReadFile(path, func(r Record) error {
@@ -303,43 +294,6 @@ func CompactFile(path string) (before, after int, err error) {
 		return 0, 0, fmt.Errorf("logstore: installing %s: %w", path, err)
 	}
 	return len(records), len(compacted), nil
-}
-
-// File is a durable Store appending JSON lines to a file. Records are
-// buffered; call Flush (or Close) to force them to the OS.
-//
-// An internal mutex serialises appends and flushes, so concurrent readers
-// (ForEach flushes before replaying) are safe with each other — the
-// pattern drmserver's read-locked audit endpoints rely on. Interleaving
-// Append with ForEach is still the caller's problem: a replay running
-// concurrently with appends sees an unspecified prefix of them.
-type File struct {
-	mu     sync.Mutex
-	f      *os.File
-	w      *bufio.Writer
-	enc    *json.Encoder
-	n      int
-	ledger Ledger
-}
-
-// OpenFile opens (creating if needed) a JSONL log at path, decoding the
-// existing records so Len is correct for pre-existing logs. A log whose
-// tail was torn by a crash (trailing bytes that do not decode into a
-// valid record) is rejected with a KindStoreCorrupt error carrying a
-// *CorruptError that names the byte offset — callers repair it explicitly
-// with RepairFile (or drmaudit -repair) rather than silently appending
-// after garbage.
-func OpenFile(path string) (*File, error) {
-	n, _, led, err := scanFile(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("logstore: open %s: %w", path, err)
-	}
-	w := bufio.NewWriter(f)
-	return &File{f: f, w: w, enc: json.NewEncoder(w), n: n, ledger: led}, nil
 }
 
 // CorruptError reports undecodable bytes in a JSONL log: everything
@@ -370,50 +324,6 @@ func (e *CorruptError) Error() string {
 
 // Unwrap exposes the decode failure.
 func (e *CorruptError) Unwrap() error { return e.Err }
-
-// scanFile decodes every record in a JSONL log, returning the record
-// count, the byte offset just past the last valid record, and the
-// rebuilt lifecycle ledger. Undecodable content — including records
-// that would break ledger soundness — yields a KindStoreCorrupt error
-// wrapping a *CorruptError; a missing file is an empty log. Note the
-// limits of JSONL self-checking: a tail torn at a byte position that
-// still parses as a valid record (e.g. a count cut from 800 to 80) is
-// undetectable here — the CRC-framed internal/wal backend exists for
-// exactly that reason.
-func scanFile(path string) (n int, validEnd int64, led Ledger, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, Ledger{}, nil
-	}
-	if err != nil {
-		return 0, 0, Ledger{}, fmt.Errorf("logstore: open %s: %w", path, err)
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
-	for {
-		var rec Record
-		derr := dec.Decode(&rec)
-		if derr == io.EOF {
-			return n, validEnd, led, nil
-		}
-		if derr == nil {
-			derr = rec.Validate()
-		}
-		if derr == nil {
-			derr = led.Observe(rec)
-		}
-		if derr != nil {
-			torn, terr := tailBeyondRepair(f, validEnd)
-			if terr != nil {
-				return 0, 0, Ledger{}, terr
-			}
-			cerr := &CorruptError{Path: path, Offset: validEnd, Records: n, Torn: torn, Err: derr}
-			return 0, 0, Ledger{}, drmerr.Wrap(drmerr.KindStoreCorrupt, "logstore.open", cerr)
-		}
-		n++
-		validEnd = dec.InputOffset()
-	}
-}
 
 // tailBeyondRepair classifies the undecodable region starting at off:
 // true means it is a torn tail (no later line decodes into a valid
@@ -452,10 +362,10 @@ func tailBeyondRepair(f *os.File, off int64) (torn bool, err error) {
 // corruption — valid records after the damaged region — is refused with
 // the scan's KindStoreCorrupt error, since truncating there would drop
 // real records. The truncation is fsynced so a repair survives power
-// loss.
+// loss. A missing file has nothing to repair.
 func RepairFile(path string) (removed int64, err error) {
-	_, _, _, serr := scanFile(path)
-	if serr == nil {
+	serr := ReadFile(path, func(Record) error { return nil })
+	if serr == nil || errors.Is(serr, os.ErrNotExist) {
 		return 0, nil
 	}
 	var cerr *CorruptError
@@ -475,7 +385,7 @@ func RepairFile(path string) (removed int64, err error) {
 		return 0, fmt.Errorf("logstore: truncate %s: %w", path, err)
 	}
 	// InputOffset stops just past the JSON value, before the newline the
-	// writer emitted; restore it so appends start on a fresh line.
+	// writer emitted; restore it so the file stays newline-terminated.
 	if cerr.Offset > 0 {
 		if _, err := f.WriteAt([]byte("\n"), cerr.Offset); err != nil {
 			return 0, fmt.Errorf("logstore: terminating %s: %w", path, err)
@@ -494,84 +404,14 @@ func RepairFile(path string) (removed int64, err error) {
 	return removed, nil
 }
 
-// Append implements Store. Like Mem, soundness-breaking debits are
-// refused with a KindLedgerUnsound error before anything is written.
-func (s *File) Append(r Record) error {
-	if err := r.Validate(); err != nil {
-		return drmerr.Wrap(drmerr.KindInvalidInput, "logstore.append", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ledger.Admit(r); err != nil {
-		return err
-	}
-	if err := s.enc.Encode(r); err != nil {
-		return fmt.Errorf("logstore: append: %w", err)
-	}
-	s.ledger.Apply(r)
-	s.n++
-	M.Appends.Inc()
-	return nil
-}
-
-// LedgerSnapshot implements LedgerReader. Buffered records are already
-// reflected: the ledger is maintained at append time.
-func (s *File) LedgerSnapshot() *Ledger {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ledger.Clone()
-}
-
-// Len implements Store.
-func (s *File) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Flush forces buffered records to the OS.
-func (s *File) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked()
-}
-
-func (s *File) flushLocked() error {
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("logstore: flush: %w", err)
-	}
-	M.Flushes.Inc()
-	return nil
-}
-
-// Close flushes and closes the underlying file. The store is unusable
-// afterwards.
-func (s *File) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushLocked(); err != nil {
-		s.f.Close()
-		return err
-	}
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("logstore: close: %w", err)
-	}
-	return nil
-}
-
-// ForEach implements Store by re-reading the file. Buffered records are
-// flushed first so the replay sees everything appended so far.
-func (s *File) ForEach(fn func(Record) error) error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	return ReadFile(s.f.Name(), fn)
-}
-
-// ReadFile replays a JSONL log file produced by File (or WriteAll).
-// Undecodable content is classified exactly like OpenFile: the returned
-// KindStoreCorrupt error carries a *CorruptError naming the byte offset
-// and whether the damage is a repairable torn tail.
+// ReadFile replays a JSONL log file written by WriteAll. Undecodable
+// content — including records that would break ledger soundness — is a
+// KindStoreCorrupt error carrying a *CorruptError that names the byte
+// offset and whether the damage is a repairable torn tail (RepairFile).
+// Note the limits of JSONL self-checking: a tail torn at a byte position
+// that still parses as a valid record (e.g. a count cut from 800 to 80)
+// is undetectable here — the CRC-framed internal/wal store exists for
+// exactly that reason.
 func ReadFile(path string, fn func(Record) error) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -636,8 +476,8 @@ func Read(r io.Reader, fn func(Record) error) error {
 	}
 }
 
-// WriteAll writes records as JSONL to w — the bulk counterpart of File
-// for workload generators. The sequence must be sound (every debit
+// WriteAll writes records as JSONL to w — the interchange writer for
+// workload generators and exports. The sequence must be sound (every debit
 // covered by prior credits), since an unsound log would be refused on
 // replay.
 func WriteAll(w io.Writer, records []Record) error {

@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitset"
+	"repro/internal/drmerr"
 )
 
 func TestRecordValidate(t *testing.T) {
@@ -115,83 +117,62 @@ func TestCompactPreservesTotalQuick(t *testing.T) {
 	}
 }
 
-func TestFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log.jsonl")
-	s, err := OpenFile(path)
+// writeFile writes records as a JSONL file with WriteAll.
+func writeFile(t *testing.T, path string, records []Record) {
+	t.Helper()
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Record{
-		{Set: bitset.MaskOf(0, 1), Count: 800},
-		{Set: bitset.MaskOf(4), Count: 20},
-	}
-	for _, r := range want {
-		if err := s.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// ForEach flushes implicitly.
-	var got []Record
-	if err := s.ForEach(func(r Record) error { got = append(got, r); return nil }); err != nil {
+	if err := WriteAll(f, records); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("replay = %+v, want %+v", got, want)
-	}
-	if err := s.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestFileReopenCountsExisting(t *testing.T) {
+func TestFileRoundTrip(t *testing.T) {
+	// Every lifecycle kind and the expiry metadata survive a JSONL file.
 	path := filepath.Join(t.TempDir(), "log.jsonl")
-	s, err := OpenFile(path)
-	if err != nil {
+	want := []Record{
+		{Set: bitset.MaskOf(0, 1), Count: 800},
+		{Set: bitset.MaskOf(4), Count: 20, Meta: Meta{Expiry: 1700000000}},
+		{Kind: KindTransfer, Set: bitset.MaskOf(0, 1), Count: 30},
+		{Kind: KindRevoke, Set: bitset.MaskOf(0, 1), Count: 100},
+		{Kind: KindExpire, Set: bitset.MaskOf(4), Count: 20, Meta: Meta{Expiry: 1700000000}},
+	}
+	writeFile(t, path, want)
+	var got []Record
+	if err := ReadFile(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := s.Append(Record{Set: bitset.MaskOf(i), Count: 1}); err != nil {
-			t.Fatal(err)
+	if len(got) != len(want) {
+		t.Fatalf("replay = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
 		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 3 {
-		t.Errorf("reopened Len = %d, want 3", s2.Len())
-	}
-	if err := s2.Append(Record{Set: bitset.MaskOf(9), Count: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 4 {
-		t.Errorf("Len after append = %d, want 4", s2.Len())
-	}
-	recs, err := Collect(s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4 {
-		t.Errorf("Collect = %d records, want 4", len(recs))
 	}
 }
 
 func TestFileRejectsInvalid(t *testing.T) {
+	// A file whose records break ledger soundness (a revoke beyond the
+	// set's outstanding credits) is corrupt: the records before the bad
+	// one are delivered, the bad one is not.
 	path := filepath.Join(t.TempDir(), "log.jsonl")
-	s, err := OpenFile(path)
-	if err != nil {
+	content := "{\"set\":3,\"count\":5}\n{\"kind\":\"revoke\",\"set\":3,\"count\":6}\n"
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if err := s.Append(Record{Set: 0, Count: 1}); err == nil {
-		t.Error("invalid record accepted")
+	n := 0
+	err := ReadFile(path, func(Record) error { n++; return nil })
+	if !errors.Is(err, drmerr.ErrStoreCorrupt) {
+		t.Fatalf("err = %v, want store corrupt", err)
 	}
-	if s.Len() != 0 {
-		t.Error("invalid record counted")
+	if n != 1 {
+		t.Errorf("delivered %d records, want 1", n)
 	}
 }
 
@@ -235,30 +216,32 @@ func TestWriteAllRejectsInvalid(t *testing.T) {
 }
 
 func TestFileMemEquivalenceQuick(t *testing.T) {
-	// Property: a File store replays exactly what a Mem store holds after
-	// the same appends (invariant 9 in DESIGN.md).
+	// Property: a JSONL file written with WriteAll replays through
+	// ReadFile exactly what a Mem store holds after the same appends
+	// (invariant 9 in DESIGN.md).
 	dir := t.TempDir()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		path := filepath.Join(dir, "q.jsonl")
-		os.Remove(path)
-		fs, err := OpenFile(path)
-		if err != nil {
-			return false
-		}
-		defer fs.Close()
 		mem := NewMem(0)
 		for i := 0; i < 1+r.Intn(40); i++ {
 			rec := Record{Set: bitset.Mask(1 + r.Intn(1<<10)), Count: int64(1 + r.Intn(30))}
-			if mem.Append(rec) != nil || fs.Append(rec) != nil {
+			if mem.Append(rec) != nil {
 				return false
 			}
 		}
-		got, err := Collect(fs)
+		want := mem.Records()
+		path := filepath.Join(dir, "q.jsonl")
+		file, err := os.Create(path)
 		if err != nil {
 			return false
 		}
-		want := mem.Records()
+		if WriteAll(file, want) != nil || file.Close() != nil {
+			return false
+		}
+		var got []Record
+		if ReadFile(path, func(r Record) error { got = append(got, r); return nil }) != nil {
+			return false
+		}
 		if len(got) != len(want) {
 			return false
 		}
@@ -276,23 +259,16 @@ func TestFileMemEquivalenceQuick(t *testing.T) {
 
 func TestCompactFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.jsonl")
-	s, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// 100 records over 3 distinct sets.
 	sets := []bitset.Mask{bitset.MaskOf(0, 1), bitset.MaskOf(1), bitset.MaskOf(2)}
+	var records []Record
 	var total int64
 	for i := 0; i < 100; i++ {
 		c := int64(1 + i%7)
-		if err := s.Append(Record{Set: sets[i%3], Count: c}); err != nil {
-			t.Fatal(err)
-		}
+		records = append(records, Record{Set: sets[i%3], Count: c})
 		total += c
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, path, records)
 	before, after, err := CompactFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -312,14 +288,8 @@ func TestCompactFile(t *testing.T) {
 	if sum != total {
 		t.Errorf("total = %d, want %d", sum, total)
 	}
-	// The compacted log can be appended to again.
-	s2, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 3 {
-		t.Errorf("reopened Len = %d, want 3", s2.Len())
+	if len(back) != 3 {
+		t.Errorf("re-read %d records, want 3", len(back))
 	}
 }
 

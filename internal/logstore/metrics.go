@@ -7,13 +7,11 @@ import "repro/internal/obs"
 // record nothing and allocate nothing.
 var M Metrics
 
-// Metrics are the issuance-log signals: append throughput and durability
-// flushes.
+// Metrics are the issuance-log signals.
 type Metrics struct {
-	// Appends counts records appended across all stores (Mem and File).
+	// Appends counts records appended to Mem stores; the WAL counts its
+	// own appends in drm_wal_appends_total.
 	Appends *obs.Counter
-	// Flushes counts explicit File flushes (ForEach replays flush too).
-	Flushes *obs.Counter
 }
 
 // Instrument registers the log-store metric families on reg and points
@@ -21,8 +19,6 @@ type Metrics struct {
 func Instrument(reg *obs.Registry) {
 	M = Metrics{
 		Appends: reg.Counter("drm_log_appends_total",
-			"Issuance records appended to log stores."),
-		Flushes: reg.Counter("drm_log_flushes_total",
-			"Explicit flushes of durable log files."),
+			"Issuance records appended to in-memory log stores."),
 	}
 }

@@ -6,9 +6,9 @@
 // Motivation (DESIGN.md §8): the paper's aggregate validation replays the
 // entire offline issuance log to rebuild the validation tree, so at
 // production scale log durability and restart time become the bottleneck.
-// The JSONL logstore.File is buffered with no fsync, no checksums, and no
-// torn-tail handling, and every open replays O(issued licenses). This
-// store bounds restart work to O(distinct sets) + the tail since the last
+// This store is the only one the server and catalog serve from: an
+// acknowledged append is on disk under the configured fsync policy, and
+// restart work is bounded to O(distinct sets) + the tail since the last
 // snapshot:
 //
 //   - Appends write binary frames (frame.go) into numbered segment files
@@ -43,9 +43,9 @@
 //     uninterrupted store holding that prefix produces (crash_test.go
 //     proves this at every injected failure offset).
 //
-// Store implements logstore.Store (and logstore.Durable), so the engine,
-// catalog, server, and CLI tools use it interchangeably with the JSONL
-// backend.
+// Store implements logstore.Store, so the engine, catalog, server, and
+// CLI tools replay it like any other log. JSON lines remain the
+// interchange format (drmaudit -migrate-wal imports one into a Store).
 package wal
 
 import (
@@ -750,11 +750,6 @@ func (s *Store) ForEach(fn func(logstore.Record) error) error {
 	}
 	return nil
 }
-
-// Flush implements logstore.Durable. WAL appends are write-through to
-// the OS (there is no user-space buffer), so Flush has nothing to do;
-// durability against power loss is Sync's job.
-func (s *Store) Flush() error { return nil }
 
 // LedgerSnapshot implements logstore.LedgerReader.
 func (s *Store) LedgerSnapshot() *logstore.Ledger {
