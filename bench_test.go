@@ -25,6 +25,7 @@
 package drm_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -33,8 +34,8 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/geometry"
+	"repro/internal/headroom"
 	"repro/internal/interval"
-	"repro/internal/itree"
 	"repro/internal/logstore"
 	"repro/internal/obs"
 	"repro/internal/overlap"
@@ -417,12 +418,6 @@ func BenchmarkAblationGrouping(b *testing.B) {
 			overlap.NewGrouper(w.Corpus).Grouping()
 		}
 	})
-	b.Run("mask-closure", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			overlap.GroupsMask(overlap.BuildMaskAdjacency(w.Corpus))
-		}
-	})
 }
 
 // BenchmarkAblationSkew compares validation cost on uniform vs Zipf-skewed
@@ -465,60 +460,11 @@ func BenchmarkAblationSkew(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPlanner compares fixed-strategy validation against the
-// cost-model planner on a dense instance (one 18-license group, dense log)
-// where the sum-over-subsets DP dominates the tree.
-func BenchmarkAblationPlanner(b *testing.B) {
-	cfg := workload.Default(18)
-	cfg.Groups = 1
-	cfg.RecordsPerLicense = 2000 // dense: many distinct sets
-	w, err := workload.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gr := overlap.GroupsOf(w.Corpus)
-	trees, err := core.Divide(benchTree(b, w).Clone(), gr, w.Corpus.Aggregates())
-	if err != nil {
-		b.Fatal(err)
-	}
-	fixed := func(s core.Strategy) []core.GroupPlan {
-		plans := make([]core.GroupPlan, len(trees))
-		for k := range plans {
-			plans[k] = core.GroupPlan{Group: k, Strategy: s}
-		}
-		return plans
-	}
-	b.Run("tree", func(b *testing.B) {
-		plans := fixed(core.StrategyTree)
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ValidateWithPlan(trees, plans); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sos", func(b *testing.B) {
-		plans := fixed(core.StrategySOS)
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ValidateWithPlan(trees, plans); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("planned", func(b *testing.B) {
-		plans := core.Plan(trees)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ValidateWithPlan(trees, plans); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationOnlineHeadroom compares per-issuance aggregate checking
 // with and without grouping at N=20: the global check enumerates 2^(N−k)
-// equations, the group-local one only 2^(N_k−k) — the same exponential
-// separation as the offline audit, paid on every single issuance.
+// equations, the grouped one is the serving cache (headroom.Cache), which
+// answers from the set's group alone with one min cut over its observed
+// sets.
 func BenchmarkAblationOnlineHeadroom(b *testing.B) {
 	w := benchWorkload(b, 20)
 	tree := benchTree(b, w)
@@ -534,48 +480,41 @@ func BenchmarkAblationOnlineHeadroom(b *testing.B) {
 		}
 	})
 	b.Run("grouped", func(b *testing.B) {
-		ia, err := core.NewIncrementalAuditor(w.Corpus)
-		if err != nil {
-			b.Fatal(err)
-		}
+		log := logstore.NewMem(0)
 		for _, r := range w.Records {
-			if err := ia.Append(r); err != nil {
+			if err := log.Append(r); err != nil {
 				b.Fatal(err)
 			}
+		}
+		cache, err := headroom.Build(context.Background(), overlap.GroupsOf(w.Corpus), agg, log)
+		if err != nil {
+			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ia.Headroom(base); err != nil {
+			if _, err := cache.Headroom(base); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkAblationInstanceValidation compares the three ways to answer
+// BenchmarkAblationInstanceValidation compares the two ways to answer
 // "which licenses contain this issued rectangle" on a 4-interval-axis
-// corpus: linear scan (Corpus.BelongsTo), R-tree over all axes, and a
-// centered interval tree on axis 0 with residual filtering. Corpus sizes
-// beyond the paper's N ≤ 64 regime show where the indexes pay off —
-// the multi-content catalogs internal/engine serves.
+// corpus: linear scan (Corpus.BelongsTo) and the R-tree over all axes.
+// Corpus sizes beyond the paper's N ≤ 64 regime show where the index
+// pays off — the multi-content catalogs internal/engine serves.
 func BenchmarkAblationInstanceValidation(b *testing.B) {
 	w := benchWorkload(b, 35)
 	corpus := w.Corpus
 	schema := corpus.Schema()
 
 	rt := rtree.New(schema, rtree.DefaultMaxEntries)
-	entries := make([]itree.Entry, corpus.Len())
 	for i := 0; i < corpus.Len(); i++ {
-		r := corpus.License(i).Rect
-		if err := rt.Insert(r, i); err != nil {
+		if err := rt.Insert(corpus.License(i).Rect, i); err != nil {
 			b.Fatal(err)
 		}
-		entries[i] = itree.Entry{Iv: r.Value(0).Interval(), ID: i}
-	}
-	it, err := itree.Build(entries)
-	if err != nil {
-		b.Fatal(err)
 	}
 
 	// Queries: shrunken rectangles inside random licenses (always hit).
@@ -600,14 +539,6 @@ func BenchmarkAblationInstanceValidation(b *testing.B) {
 	b.Run("rtree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rt.SearchContaining(queries[i%len(queries)])
-		}
-	})
-	b.Run("itree-filter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q := queries[i%len(queries)]
-			for _, id := range it.Containing(q.Value(0).Interval()) {
-				_ = corpus.License(id).Rect.Contains(q)
-			}
 		}
 	})
 }

@@ -134,11 +134,11 @@ func TestAuditCompactWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ws.Close()
-	recs, err := logstore.Collect(ws)
-	if err != nil {
+	n := 0
+	if err := ws.ForEach(func(logstore.Record) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 {
+	if n == 0 {
 		t.Error("compaction emptied the WAL")
 	}
 }

@@ -78,13 +78,12 @@ func TestDefaultFlagsCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store2.Close() })
-	recs, err := logstore.Collect(store2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recovered := map[bitset.Mask]int64{}
-	for _, r := range recs {
+	if err := store2.ForEach(func(r logstore.Record) error {
 		recovered[r.Set] += r.Effective()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	for set, c := range acked {
 		if recovered[set] < c {

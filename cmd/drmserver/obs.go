@@ -11,11 +11,15 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/drmerr"
 	"repro/internal/engine"
+	"repro/internal/headroom"
 	"repro/internal/obs"
 	"repro/internal/slo"
 	"repro/internal/trace"
+	"repro/internal/vtree"
+	"repro/internal/wal"
 )
 
 // logger is the process-wide structured logger. run() replaces it
@@ -77,7 +81,15 @@ type serverObs struct {
 
 func newServerObs(ready func() error) *serverObs {
 	reg := obs.NewRegistry()
-	engine.InstrumentAll(reg)
+	// Each package below the server keeps package-level metric hooks;
+	// point them all at this registry.
+	vtree.Instrument(reg)
+	core.Instrument(reg)
+	wal.Instrument(reg)
+	trace.Instrument(reg)
+	headroom.Instrument(reg)
+	cluster.Instrument(reg)
+	engine.Instrument(reg)
 	o := &serverObs{
 		reg:   reg,
 		httpm: obs.NewHTTPMetrics(reg),
@@ -88,8 +100,8 @@ func newServerObs(ready func() error) *serverObs {
 	// Metric→trace exemplars: traced requests stamp their trace ID on
 	// the latency bucket they land in.
 	o.httpm.ExemplarID = trace.IDFromContext
-	// Heavy-hitter attribution follows the InstrumentAll discipline: the
-	// package hook points at the most recently constructed server.
+	// Heavy-hitter attribution follows the same discipline: the package
+	// hook points at the most recently constructed server.
 	engine.Hitters = o.slo.Hitters()
 	o.runtime = obs.NewRuntime(reg, func() int64 {
 		if o.walBacklog == nil {

@@ -1,13 +1,15 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/baseline"
 	"repro/internal/bitset"
-	"repro/internal/core"
+	"repro/internal/headroom"
 	"repro/internal/logstore"
+	"repro/internal/overlap"
 	"repro/internal/workload"
 )
 
@@ -25,25 +27,38 @@ type PolicyRow struct {
 	Accepted map[string]int
 }
 
-// groupedAllocator adapts core.IncrementalAuditor into an online policy:
-// accept an issuance iff it fits the GROUP-LOCAL equation headroom. This is
-// the paper's geometric contribution applied online — the global headroom
-// check enumerates 2^(N−k) equations per request and is infeasible beyond
-// N ≈ 20, while the grouped check only touches the belongs-to set's group.
+// groupedAllocator adapts the serving admission cache (headroom.Cache)
+// into an online policy: accept an issuance iff it fits the headroom of
+// its belongs-to set's group. This is the paper's geometric contribution
+// applied online — the global check (baseline.EquationAllocator)
+// enumerates 2^(N−k) equations per request and is infeasible beyond
+// N ≈ 20, while the cache only looks at the set's group.
 type groupedAllocator struct {
-	ia *core.IncrementalAuditor
+	cache *headroom.Cache
+}
+
+// newGroupedAllocator starts the policy over w's corpus with nothing
+// issued yet.
+func newGroupedAllocator(w *workload.Workload) (*groupedAllocator, error) {
+	cache, err := headroom.Build(context.Background(), overlap.GroupsOf(w.Corpus),
+		w.Corpus.Aggregates(), logstore.NewMem(0))
+	if err != nil {
+		return nil, err
+	}
+	return &groupedAllocator{cache: cache}, nil
 }
 
 // Allocate implements baseline.Allocator.
 func (g *groupedAllocator) Allocate(set bitset.Mask, count int64) error {
-	room, err := g.ia.Headroom(set)
+	room, ok, err := g.cache.Admit(context.Background(), set, count)
 	if err != nil {
 		return err
 	}
-	if count > room {
+	if !ok {
 		return fmt.Errorf("%w: count %d exceeds grouped headroom %d", baseline.ErrRejected, count, room)
 	}
-	return g.ia.Append(logstore.Record{Set: set, Count: count})
+	g.cache.Confirm()
+	return nil
 }
 
 // Name implements baseline.Allocator.
@@ -57,26 +72,17 @@ func (g *groupedAllocator) Name() string { return "equation" }
 func Policies(ns []int, seed int64) ([]PolicyRow, error) {
 	rows := make([]PolicyRow, 0, len(ns))
 	for _, n := range ns {
-		cfg := workload.Default(n)
-		cfg.Seed = seed
-		// Budgets low enough that the stream overruns them, and counts
-		// coarse enough that charging the wrong license strands a
-		// meaningful fraction of a budget (Example 1's granularity: one
-		// request was 80% of a license).
-		cfg.AggregateLo, cfg.AggregateHi = 500, 2000
-		cfg.CountLo, cfg.CountHi = 100, 400
-		cfg.RecordsPerLicense = 200
-		w, err := workload.Generate(cfg)
+		w, err := policyWorkload(n, seed)
 		if err != nil {
 			return nil, err
 		}
 		agg := w.Corpus.Aggregates()
-		ia, err := core.NewIncrementalAuditor(w.Corpus)
+		grouped, err := newGroupedAllocator(w)
 		if err != nil {
 			return nil, err
 		}
 		policies := []baseline.Allocator{
-			&groupedAllocator{ia: ia},
+			grouped,
 			baseline.NewRandomPick(agg, seed),
 			baseline.NewFirstFit(agg),
 			baseline.NewBestFit(agg),
@@ -95,6 +101,19 @@ func Policies(ns []int, seed int64) ([]PolicyRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// policyWorkload generates the fig 11 request stream for n licenses.
+// Budgets are low enough that the stream overruns them, and counts coarse
+// enough that charging the wrong license strands a meaningful fraction of
+// a budget (Example 1's granularity: one request was 80% of a license).
+func policyWorkload(n int, seed int64) (*workload.Workload, error) {
+	cfg := workload.Default(n)
+	cfg.Seed = seed
+	cfg.AggregateLo, cfg.AggregateHi = 500, 2000
+	cfg.CountLo, cfg.CountHi = 100, 400
+	cfg.RecordsPerLicense = 200
+	return workload.Generate(cfg)
 }
 
 // policyOrder fixes the column order for rendering.

@@ -251,12 +251,6 @@ func (c *Catalog) Len() int { return len(c.entries) }
 // Mode returns the validation mode every entry's distributor runs in.
 func (c *Catalog) Mode() engine.Mode { return c.cfg.Mode }
 
-// AuditAll runs the geometric audit over every entry. It is
-// AuditAllContext with a background context.
-func (c *Catalog) AuditAll(workers int) (map[*Entry]core.Report, error) {
-	return c.AuditAllContext(context.Background(), workers)
-}
-
 // AuditAllContext runs the geometric audit over every entry under ctx.
 // A deadline that expires mid-sweep returns the reports gathered so far
 // (the cut-off entry's partial report included) and an error matching

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -204,7 +205,7 @@ func TestEntriesSortedAndAuditAll(t *testing.T) {
 	if _, err := e.Dist.Issue(license.Usage, usageRect(t, e.Corpus, 1, 2), 150); err != nil {
 		t.Fatal(err)
 	}
-	reports, err := c.AuditAll(1)
+	reports, err := c.AuditAllContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +266,11 @@ func TestRecordsVisibleBeforeClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reader.Close()
-	recs, err := logstore.Collect(reader)
-	if err != nil {
+	var recs []logstore.Record
+	if err := reader.ForEach(func(r logstore.Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || recs[0].Count != 10 {

@@ -99,8 +99,3 @@ func (l *Leader) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
 	M.BootstrapsServed.Inc()
 	writeJSON(w, http.StatusOK, doc)
 }
-
-// Role composes the leader's role-probe body.
-func (l *Leader) Role(ready bool) RoleInfo {
-	return RoleInfo{Role: RoleLeader, Ready: ready, Seq: l.store.SyncedSeq()}
-}

@@ -10,9 +10,9 @@
 // warm cache, report their lag, and can be promoted to leader after the
 // fetch loop drains — the verified failover path.
 //
-// The package deliberately does not import internal/engine: the server
-// hands it apply callbacks, and engine.InstrumentAll can register this
-// package's metrics without an import cycle.
+// The package deliberately does not import internal/engine, nor engine
+// this package: the server hands it apply callbacks and registers each
+// package's metrics itself.
 package cluster
 
 import (
@@ -30,7 +30,7 @@ const DefaultVnodes = 128
 // Ring is a consistent-hash ring over a peer set: each peer is hashed
 // onto the ring at vnodes points (FNV-1a of "peer#i"), and a key is
 // owned by the first vnode clockwise from the key's hash. Safe for
-// concurrent use; Add/Remove rebuild the sorted point list.
+// concurrent use; Add rebuilds the sorted point list.
 type Ring struct {
 	mu     sync.RWMutex
 	vnodes int
@@ -72,24 +72,6 @@ func (r *Ring) Add(peer string) {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Remove deletes peer's virtual nodes; removing an absent peer is a
-// no-op.
-func (r *Ring) Remove(peer string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.peers[peer]; !ok {
-		return
-	}
-	delete(r.peers, peer)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.peer != peer {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Peers returns the member peers, sorted.
 func (r *Ring) Peers() []string {
 	r.mu.RLock()
@@ -100,19 +82,6 @@ func (r *Ring) Peers() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Len returns the number of member peers.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.peers)
-}
-
-// Owner returns the peer owning key: the first vnode at or clockwise
-// from the key's hash. ok is false on an empty ring.
-func (r *Ring) Owner(key string) (peer string, ok bool) {
-	return r.OwnerWhere(key, nil)
 }
 
 // OwnerWhere returns the first owner clockwise from key's hash whose

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"time"
 
@@ -145,17 +146,75 @@ func (a *Auditor) Audit() (Report, error) {
 // verdict does not depend on the groups the deadline cut off). With no
 // deadline the report is identical to Audit's.
 func (a *Auditor) AuditContext(ctx context.Context) (Report, error) {
-	s := newAuditSession(a.corpus.Len(), a.logRecords, a.grouping, a.Workers)
-	s.batch = true
-	rep, err := s.run(ctx, a.trees)
-	a.timings.Flatten = s.flatten
-	a.timings.Validation = s.validate
-	if err != nil && !incomplete(err) {
+	workers := max(a.Workers, 1)
+	start := time.Now()
+	_, fsp := trace.Start(ctx, "core.flatten")
+	for _, gt := range a.trees {
+		if ctx.Err() != nil {
+			break // ValidateParallelContext reports the cancellation
+		}
+		gt.Flat()
+	}
+	a.timings.Flatten = time.Since(start)
+	if fsp != nil {
+		fsp.SetInt("groups", int64(len(a.trees)))
+		fsp.End()
+	}
+
+	start = time.Now()
+	vctx, vsp := trace.Start(ctx, "core.validate")
+	rep, err := ValidateParallelContext(vctx, a.trees, workers)
+	a.timings.Validation = time.Since(start)
+	if vsp != nil {
+		vsp.SetInt("groups", int64(len(a.trees)))
+		vsp.SetInt("workers", int64(workers))
+		vsp.Fail(err)
+		vsp.End()
+	}
+	if err != nil && !errors.Is(err, drmerr.ErrAuditIncomplete) {
 		return rep, err
 	}
-	a.stats = s.finish(rep, rep.Equations, shardsUsed(a.trees, s.workers),
-		rep.GroupsComplete(), 0, a.phases(), err != nil)
+	a.stats = a.record(rep, workers, err != nil)
 	return rep, err
+}
+
+// record assembles the typed run record of one audit and publishes the
+// audit-layer metrics. An incomplete run (cut short by its context)
+// additionally bumps the incomplete-audit counter.
+func (a *Auditor) record(rep Report, workers int, incomplete bool) obs.AuditStats {
+	full := FullEquationCount(a.corpus.Len())
+	realized := 0.0
+	if rep.Equations > 0 {
+		realized = full / float64(rep.Equations)
+	}
+	phases := a.phases()
+	st := obs.AuditStats{
+		Licenses:            a.corpus.Len(),
+		LogRecords:          a.logRecords,
+		Groups:              a.grouping.NumGroups(),
+		EquationsChecked:    rep.Equations,
+		EquationsFull:       full,
+		EquationsEliminated: full - float64(rep.Equations),
+		GainTheoretical:     Gain(a.grouping),
+		GainRealized:        realized,
+		ShardsUsed:          shardsUsed(a.trees, workers),
+		GroupsRevalidated:   rep.GroupsComplete(),
+		Violations:          len(rep.Violations),
+		Incomplete:          incomplete,
+		Phases:              phases,
+	}
+	M.AuditRuns.Inc()
+	if incomplete {
+		M.AuditsIncomplete.Inc()
+	}
+	M.GroupsRevalidated.Add(int64(st.GroupsRevalidated))
+	M.Gain.Set(realized)
+	M.PhaseBuild.Observe(time.Duration(phases.Build).Seconds())
+	M.PhaseOverlap.Observe(time.Duration(phases.Overlap).Seconds())
+	M.PhaseDivide.Observe(time.Duration(phases.Divide).Seconds())
+	M.PhaseFlatten.Observe(time.Duration(phases.Flatten).Seconds())
+	M.PhaseValidate.Observe(time.Duration(phases.Validate).Seconds())
+	return st
 }
 
 // MinSlack returns the smallest slack A[S] − C⟨S⟩ over the group's

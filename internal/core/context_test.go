@@ -11,8 +11,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/drmerr"
-	"repro/internal/license"
-	"repro/internal/logstore"
 	"repro/internal/vtree"
 )
 
@@ -102,95 +100,17 @@ func TestAuditorResumeAfterCancel(t *testing.T) {
 	}
 }
 
-// example1Incremental builds an incremental auditor with the Table 2 log
-// already routed in.
-func example1Incremental(t *testing.T) *IncrementalAuditor {
-	t.Helper()
-	ex := license.NewExample1()
-	ia, err := NewIncrementalAuditor(ex.Corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ex.Log {
-		if err := ia.Append(logstore.Record{Set: e.Set, Count: e.Count}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return ia
-}
-
-func TestIncrementalCancelKeepsGroupsDirty(t *testing.T) {
-	// A cancelled incremental audit must not cache partial results: every
-	// unfinished group stays dirty, and resuming with a fresh context
-	// yields the same report an uninterrupted audit would have.
-	ia := example1Incremental(t)
-	if got := len(ia.DirtyGroups()); got != 2 {
-		t.Fatalf("dirty groups before = %d, want 2", got)
-	}
-	rep, err := ia.AuditContext(cancelledCtx())
-	if !errors.Is(err, drmerr.ErrAuditIncomplete) {
-		t.Fatalf("err = %v, want ErrAuditIncomplete", err)
-	}
-	if rep.GroupsComplete() != 0 || len(rep.Violations) != 0 {
-		t.Errorf("partial report = %+v, want nothing verified", rep)
-	}
-	if got := len(ia.DirtyGroups()); got != 2 {
-		t.Errorf("dirty groups after cancel = %d, want 2 (partials must not be cached)", got)
-	}
-
-	want, err := example1Auditor(t).Audit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ia.Audit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("resumed incremental audit diverges:\n got %+v\nwant %+v", got, want)
-	}
-	if len(ia.DirtyGroups()) != 0 {
-		t.Errorf("groups still dirty after complete audit: %v", ia.DirtyGroups())
-	}
-}
-
-func TestAuditGroupContextCancelled(t *testing.T) {
-	ia := example1Incremental(t)
-	if _, err := ia.AuditGroupContext(cancelledCtx(), 0); !errors.Is(err, drmerr.ErrAuditIncomplete) {
-		t.Fatalf("err = %v, want ErrAuditIncomplete", err)
-	}
-	if got := len(ia.DirtyGroups()); got != 2 {
-		t.Errorf("dirty groups = %d, want 2 (cancelled group stays dirty)", got)
-	}
-	res, err := ia.AuditGroup(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Equations != 7 { // 2^3-1 for the {L1,L2,L4} group
-		t.Errorf("group 0 equations = %d, want 7", res.Equations)
-	}
-}
-
 func TestTypedErrorsAcrossCore(t *testing.T) {
-	ia := example1Incremental(t)
-	if err := ia.Append(logstore.Record{Set: 0, Count: 1}); !errors.Is(err, drmerr.ErrInvalidInput) {
+	aud := example1Auditor(t)
+	if _, err := aud.Headroom(0); !errors.Is(err, drmerr.ErrInvalidInput) {
 		t.Errorf("empty set err = %v, want ErrInvalidInput", err)
 	}
-	if err := ia.Append(logstore.Record{Set: bitset.MaskOf(7), Count: 1}); !errors.Is(err, drmerr.ErrCorpusMismatch) {
+	if _, err := aud.Headroom(bitset.MaskOf(7)); !errors.Is(err, drmerr.ErrCorpusMismatch) {
 		t.Errorf("out-of-corpus err = %v, want ErrCorpusMismatch", err)
 	}
 	// {L1,L3} spans the two groups — impossible under Corollary 1.1.
-	if err := ia.Append(logstore.Record{Set: bitset.MaskOf(0, 2), Count: 1}); !errors.Is(err, drmerr.ErrCrossGroup) {
+	if _, err := aud.Headroom(bitset.MaskOf(0, 2)); !errors.Is(err, drmerr.ErrCrossGroup) {
 		t.Errorf("cross-group err = %v, want ErrCrossGroup", err)
-	}
-	if _, err := ia.AuditGroup(99); !errors.Is(err, drmerr.ErrNotFound) {
-		t.Errorf("out-of-range group err = %v, want ErrNotFound", err)
-	}
-	if err := ia.TopUp(-1, 10); !errors.Is(err, drmerr.ErrNotFound) {
-		t.Errorf("bad top-up index err = %v, want ErrNotFound", err)
-	}
-	if err := ia.TopUp(0, 0); !errors.Is(err, drmerr.ErrInvalidInput) {
-		t.Errorf("non-positive top-up err = %v, want ErrInvalidInput", err)
 	}
 
 	// Divide's shape errors classify as corpus mismatches.
@@ -240,32 +160,5 @@ func TestCancelledValidationSoundQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestValidateWithPlanContextCancelled(t *testing.T) {
-	_, tree, gr, a := example1Setup(t)
-	trees, err := Divide(tree, gr, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans := Plan(trees)
-	rep, err := ValidateWithPlanContext(cancelledCtx(), trees, plans)
-	if !errors.Is(err, drmerr.ErrAuditIncomplete) {
-		t.Fatalf("err = %v, want ErrAuditIncomplete", err)
-	}
-	if rep.GroupsComplete() != 0 {
-		t.Errorf("GroupsComplete = %d, want 0", rep.GroupsComplete())
-	}
-	want, err := ValidateWithPlan(trees, plans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ValidateWithPlanContext(context.Background(), trees, plans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("planned validation diverges under Background context")
 	}
 }

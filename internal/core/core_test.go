@@ -18,7 +18,10 @@ import (
 func example1Setup(t *testing.T) (*license.Example1, *vtree.Tree, overlap.Grouping, []int64) {
 	t.Helper()
 	ex := license.NewExample1()
-	tree := vtree.MustNew(5)
+	tree, err := vtree.New(5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range ex.Log {
 		if err := tree.Insert(e.Set, e.Count); err != nil {
 			t.Fatal(err)

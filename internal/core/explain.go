@@ -146,12 +146,3 @@ func (e Explanation) Remediation() int64 {
 	}
 	return e.Deficit
 }
-
-// TopContributors returns the n largest LHS contributions (fewer if the
-// equation has fewer non-zero terms).
-func (e Explanation) TopContributors(n int) []logstore.Record {
-	if n > len(e.Contributions) {
-		n = len(e.Contributions)
-	}
-	return e.Contributions[:n]
-}

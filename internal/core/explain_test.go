@@ -138,11 +138,13 @@ func TestTopContributors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := e.TopContributors(1)
-	if len(top) != 1 || top[0].Count != 840 {
-		t.Errorf("top = %+v", top)
+	// Contributions come largest first.
+	if len(e.Contributions) == 0 || e.Contributions[0].Count != 840 {
+		t.Fatalf("contributions = %+v, want the 840 term first", e.Contributions)
 	}
-	if got := e.TopContributors(99); len(got) != len(e.Contributions) {
-		t.Errorf("overshoot TopContributors = %d", len(got))
+	for i := 1; i < len(e.Contributions); i++ {
+		if e.Contributions[i].Count > e.Contributions[i-1].Count {
+			t.Errorf("contributions out of order: %+v", e.Contributions)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/logstore"
 	"repro/internal/overlap"
 	"repro/internal/vtree"
-	"repro/internal/workload"
 )
 
 // randomShardInstance plants 1–5 groups over up to 16 licenses and a log
@@ -140,130 +139,5 @@ func TestShardBudgetsDominantGroup(t *testing.T) {
 	}
 	if budgets[1] != 1 || budgets[2] != 1 {
 		t.Errorf("singleton budgets = %d, %d, want 1, 1", budgets[1], budgets[2])
-	}
-}
-
-// TestDirtyAuditMatchesFullReaudit drives an IncrementalAuditor through
-// arbitrary interleavings of appends, top-ups, and audits, checking after
-// every audit that the dirty-group report is byte-identical to a full
-// batch re-audit over the same records and budgets.
-func TestDirtyAuditMatchesFullReaudit(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		r := rand.New(rand.NewSource(seed + 7))
-		cfg := workload.Default(10 + int(seed))
-		cfg.Seed = seed
-		cfg.Groups = 1 + r.Intn(5)
-		cfg.RecordsPerLicense = 40
-		w, err := workload.Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ia, err := NewIncrementalAuditor(w.Corpus)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ia.Workers = 1 + r.Intn(4)
-
-		var appended []logstore.Record
-		next := 0
-		fullReaudit := func() Report {
-			tree, err := vtree.BuildRecords(w.Corpus.Len(), appended)
-			if err != nil {
-				t.Fatal(err)
-			}
-			agg := make([]int64, w.Corpus.Len())
-			copy(agg, w.Corpus.Aggregates())
-			// Mirror any top-ups already applied to the live auditor.
-			for j := range agg {
-				k, p := ia.groupOf[j], ia.position[j]
-				agg[j] = ia.trees[k].Aggregates[p]
-			}
-			trees, err := Divide(tree, ia.grouping, agg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := Validate(trees)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rep
-		}
-
-		for round := 0; round < 8; round++ {
-			// Append a random chunk (possibly empty: audit of a clean state).
-			chunk := r.Intn(len(w.Records) / 4)
-			for i := 0; i < chunk && next < len(w.Records); i++ {
-				if err := ia.Append(w.Records[next]); err != nil {
-					t.Fatal(err)
-				}
-				appended = append(appended, w.Records[next])
-				next++
-			}
-			if r.Intn(3) == 0 {
-				j := r.Intn(w.Corpus.Len())
-				if err := ia.TopUp(j, int64(1+r.Intn(500))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := ia.Audit()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := fullReaudit()
-			if reportString(got) != reportString(want) {
-				t.Fatalf("seed %d round %d: dirty audit diverges from full re-audit\n got %s\nwant %s",
-					seed, round, reportString(got), reportString(want))
-			}
-			if len(ia.DirtyGroups()) != 0 {
-				t.Fatalf("seed %d round %d: groups still dirty after audit: %v", seed, round, ia.DirtyGroups())
-			}
-			// A second audit with nothing dirty must serve the cache and agree.
-			again, err := ia.Audit()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reportString(again) != reportString(got) {
-				t.Fatalf("seed %d round %d: clean re-audit diverges from cached report", seed, round)
-			}
-		}
-	}
-}
-
-func TestDirtyTrackingMarksOnlyTouchedGroups(t *testing.T) {
-	cfg := workload.Default(12)
-	cfg.Groups = 3
-	w, err := workload.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ia, err := NewIncrementalAuditor(w.Corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ia.Audit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ia.DirtyGroups(); len(got) != 0 {
-		t.Fatalf("dirty after initial audit: %v", got)
-	}
-	// Route one record; only its group may become dirty.
-	rec := w.Records[0]
-	if err := ia.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	k := ia.groupOf[rec.Set.Min()]
-	if got := ia.DirtyGroups(); len(got) != 1 || got[0] != k {
-		t.Fatalf("dirty groups after one append = %v, want [%d]", got, k)
-	}
-	// TopUp dirties the budget's group as well.
-	if _, err := ia.Audit(); err != nil {
-		t.Fatal(err)
-	}
-	j := w.Corpus.Len() - 1
-	if err := ia.TopUp(j, 100); err != nil {
-		t.Fatal(err)
-	}
-	if got := ia.DirtyGroups(); len(got) != 1 || got[0] != ia.groupOf[j] {
-		t.Fatalf("dirty groups after top-up = %v, want [%d]", got, ia.groupOf[j])
 	}
 }

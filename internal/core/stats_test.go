@@ -53,8 +53,8 @@ func TestBatchAuditStats(t *testing.T) {
 	if st.GainRealized != aud.Gain() {
 		t.Errorf("realized gain %v != auditor gain %v", st.GainRealized, aud.Gain())
 	}
-	if st.GroupsRevalidated != 2 || st.CacheHits != 0 || st.CacheMisses != 2 {
-		t.Errorf("cache economy = %+v", st)
+	if st.GroupsRevalidated != 2 {
+		t.Errorf("groups revalidated = %d, want 2", st.GroupsRevalidated)
 	}
 	if st.ShardsUsed < 2 {
 		t.Errorf("shards used = %d, want >= one per group", st.ShardsUsed)
@@ -64,65 +64,6 @@ func TestBatchAuditStats(t *testing.T) {
 	}
 	if st.Phases.Validate < 0 || st.Phases.Build < 0 {
 		t.Errorf("negative phase timings: %+v", st.Phases)
-	}
-}
-
-// TestIncrementalAuditStats exercises the dirty-group economy: first
-// audit revalidates everything, a clean re-audit is all cache hits, and a
-// single append dirties exactly one group.
-func TestIncrementalAuditStats(t *testing.T) {
-	ex := license.NewExample1()
-	ia, err := NewIncrementalAuditor(ex.Corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ex.Log {
-		if err := ia.Append(logstore.Record{Set: e.Set, Count: e.Count}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ia.Audit(); err != nil {
-		t.Fatal(err)
-	}
-	st := ia.LastStats()
-	if st.GroupsRevalidated != 2 || st.CacheHits != 0 {
-		t.Errorf("first audit stats = %+v", st)
-	}
-	if st.EquationsChecked != 10 || st.GainRealized != st.GainTheoretical {
-		t.Errorf("first audit equations/gain = %+v", st)
-	}
-
-	// Clean re-audit: all groups served from cache, nothing checked.
-	if _, err := ia.Audit(); err != nil {
-		t.Fatal(err)
-	}
-	st = ia.LastStats()
-	if st.GroupsRevalidated != 0 || st.CacheHits != 2 || st.EquationsChecked != 0 {
-		t.Errorf("clean audit stats = %+v", st)
-	}
-	if st.ShardsUsed != 0 {
-		t.Errorf("clean audit fanned out %d shards", st.ShardsUsed)
-	}
-
-	// One record into group {3,5} (global licenses 3 and 5, mask bits 2/4)
-	// dirties exactly that group.
-	if err := ia.Append(logstore.Record{Set: 0b00100, Count: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ia.Audit(); err != nil {
-		t.Fatal(err)
-	}
-	st = ia.LastStats()
-	if st.GroupsRevalidated != 1 || st.CacheHits != 1 {
-		t.Errorf("dirty-one audit stats = %+v", st)
-	}
-	if st.EquationsChecked != 3 { // group {3,5}: 2^2−1
-		t.Errorf("equations checked = %d, want 3", st.EquationsChecked)
-	}
-	// Partial revalidation realizes MORE gain than eq 3 promises.
-	if st.GainRealized <= st.GainTheoretical {
-		t.Errorf("partial audit gain %v not above theoretical %v",
-			st.GainRealized, st.GainTheoretical)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/drmerr"
-	"repro/internal/logstore"
 	"repro/internal/trace"
 )
 
@@ -116,37 +115,5 @@ func TestAuditTraceCancelledPartial(t *testing.T) {
 	// is complete despite the cancellation.
 	if last := rec.Spans[len(rec.Spans)-1]; last.ID != 1 {
 		t.Errorf("last recorded span is %d (%s), want the root", last.ID, last.Name)
-	}
-}
-
-// TestIncrementalAuditTracesDirtyGroupsOnly checks the incremental
-// auditor's traced validate touches only the dirty group.
-func TestIncrementalAuditTracesDirtyGroupsOnly(t *testing.T) {
-	inc := example1Incremental(t)
-	if _, err := inc.Audit(); err != nil { // settle: all groups clean
-		t.Fatal(err)
-	}
-	if err := inc.Append(logstore.Record{Set: 0b00001, Count: 1}); err != nil { // dirty group {1,2}
-		t.Fatal(err)
-	}
-	tr := trace.New(trace.Options{Capacity: 4})
-	ctx, root := tr.Root(context.Background(), "test.incremental")
-	if _, err := inc.AuditContext(ctx); err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	rec := tr.Get(root.TraceID())
-	if rec == nil {
-		t.Fatal("incremental audit trace not retained")
-	}
-	assertWellFormed(t, rec)
-	groups := 0
-	for _, s := range rec.Spans {
-		if s.Name == "core.group" {
-			groups++
-		}
-	}
-	if groups != 1 {
-		t.Errorf("core.group spans = %d, want 1 (only the dirty group revalidates)", groups)
 	}
 }

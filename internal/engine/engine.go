@@ -52,9 +52,9 @@ import (
 
 // Hitters, when non-nil, receives per-issuance heavy-hitter attribution
 // (entry = distributor name, group = overlap component) for request
-// counts, cumulative latency, and headroom rejections. Wired by the
-// server alongside InstrumentAll; nil (the default) costs one pointer
-// compare per issuance.
+// counts, cumulative latency, and headroom rejections. The server points
+// it at its SLO service when it wires the metric hooks; nil (the
+// default) costs one pointer compare per issuance.
 var Hitters *slo.Hitters
 
 // Mode selects when aggregate validation happens.
@@ -608,15 +608,6 @@ func (n *Network) Grant(distributor string, l *license.License) (*Distributor, e
 // Distributor looks up the corpus of (name, content, perm), or nil.
 func (n *Network) Distributor(name, content string, perm license.Permission) *Distributor {
 	return n.distributors[key(name, content, perm)]
-}
-
-// Distributors returns all registered corpora in unspecified order.
-func (n *Network) Distributors() []*Distributor {
-	out := make([]*Distributor, 0, len(n.distributors))
-	for _, d := range n.distributors {
-		out = append(out, d)
-	}
-	return out
 }
 
 // AuditAll audits every corpus in the network, returning reports keyed the

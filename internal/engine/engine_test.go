@@ -178,8 +178,8 @@ func TestNetworkRouting(t *testing.T) {
 	if d.Corpus().Len() != 2 {
 		t.Errorf("corpus len = %d, want 2", d.Corpus().Len())
 	}
-	if len(net.Distributors()) != 1 {
-		t.Errorf("distributors = %d, want 1", len(net.Distributors()))
+	if len(net.distributors) != 1 {
+		t.Errorf("distributors = %d, want 1", len(net.distributors))
 	}
 }
 

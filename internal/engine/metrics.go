@@ -1,15 +1,6 @@
 package engine
 
-import (
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/headroom"
-	"repro/internal/logstore"
-	"repro/internal/obs"
-	"repro/internal/trace"
-	"repro/internal/vtree"
-	"repro/internal/wal"
-)
+import "repro/internal/obs"
 
 // M holds the package's metric hooks, nil until Instrument is called; obs
 // metric methods are no-ops on nil receivers, so uninstrumented engines
@@ -84,19 +75,4 @@ func Instrument(reg *obs.Registry) {
 		LifecycleSeconds: reg.Histogram("drm_lifecycle_seconds",
 			"Wall time of one lifecycle operation (revoke or transfer).", nil),
 	}
-}
-
-// InstrumentAll wires every instrumentable package below the engine —
-// vtree, core, logstore, wal, headroom, cluster, and the engine itself
-// — to one registry. Callers (drmserver, drmaudit, drmbench) do this
-// once at startup, before any concurrent use.
-func InstrumentAll(reg *obs.Registry) {
-	vtree.Instrument(reg)
-	core.Instrument(reg)
-	logstore.Instrument(reg)
-	wal.Instrument(reg)
-	trace.Instrument(reg)
-	headroom.Instrument(reg)
-	cluster.Instrument(reg)
-	Instrument(reg)
 }

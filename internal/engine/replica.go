@@ -20,9 +20,6 @@ import (
 // clears it after the follower's fetch loop drains.
 func (d *Distributor) SetReadOnly(ro bool) { d.readOnly.Store(ro) }
 
-// ReadOnly reports whether the distributor refuses mutations.
-func (d *Distributor) ReadOnly() bool { return d.readOnly.Load() }
-
 // readOnlyErr is the shared mutation gate.
 func (d *Distributor) readOnlyErr(op string) error {
 	if !d.readOnly.Load() {

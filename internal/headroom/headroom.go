@@ -561,10 +561,3 @@ func (c *Cache) TopUp(i int, extra int64) error {
 	g.mu.Unlock()
 	return nil
 }
-
-// N returns the number of licenses the cache spans.
-func (c *Cache) N() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.n
-}

@@ -131,16 +131,11 @@ const dateLayout = "02/01/06"
 // secondsPerDay converts epoch seconds into epoch days.
 const secondsPerDay = 24 * 60 * 60
 
-// Date returns the coordinate (days since the Unix epoch, UTC) of the given
-// calendar day, so that validity periods become integer intervals.
-func Date(year int, month time.Month, day int) int64 {
-	t := time.Date(year, month, day, 0, 0, 0, 0, time.UTC)
-	return t.Unix() / secondsPerDay
-}
-
 // ParseDate parses the paper's dd/mm/yy notation ("10/03/09") into a
-// coordinate. Two-digit years follow Go's reference-layout rule (69..99 →
-// 19xx, otherwise 20xx), which matches the paper's 2009 examples.
+// coordinate: days since the Unix epoch (UTC), so that validity periods
+// become integer intervals. Two-digit years follow Go's reference-layout
+// rule (69..99 → 19xx, otherwise 20xx), which matches the paper's 2009
+// examples.
 func ParseDate(s string) (int64, error) {
 	t, err := time.Parse(dateLayout, s)
 	if err != nil {
@@ -149,16 +144,7 @@ func ParseDate(s string) (int64, error) {
 	return t.Unix() / secondsPerDay, nil
 }
 
-// MustDate is ParseDate for trusted literals; it panics on error.
-func MustDate(s string) int64 {
-	v, err := ParseDate(s)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// FormatDate renders a coordinate produced by Date/ParseDate back into
+// FormatDate renders a coordinate produced by ParseDate back into
 // dd/mm/yy notation.
 func FormatDate(coord int64) string {
 	t := time.Unix(coord*secondsPerDay, 0).UTC()

@@ -131,7 +131,7 @@ func TestString(t *testing.T) {
 }
 
 func TestDateRoundTrip(t *testing.T) {
-	coord := Date(2009, time.March, 10)
+	coord := time.Date(2009, time.March, 10, 0, 0, 0, 0, time.UTC).Unix() / secondsPerDay
 	if got := FormatDate(coord); got != "10/03/09" {
 		t.Errorf("FormatDate = %q, want 10/03/09", got)
 	}
@@ -144,16 +144,25 @@ func TestDateRoundTrip(t *testing.T) {
 	}
 }
 
+// mustDate is ParseDate for test literals; it panics on error.
+func mustDate(s string) int64 {
+	v, err := ParseDate(s)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestDateOrdering(t *testing.T) {
 	// The paper's Example 1 period arithmetic must hold.
-	a := MustDate("10/03/09")
-	b := MustDate("20/03/09")
+	a := mustDate("10/03/09")
+	b := mustDate("20/03/09")
 	if b-a != 10 {
 		t.Errorf("20/03/09 - 10/03/09 = %d days, want 10", b-a)
 	}
 	// Crossing a month boundary.
-	c := MustDate("25/03/09")
-	d := MustDate("10/04/09")
+	c := mustDate("25/03/09")
+	d := mustDate("10/04/09")
 	if d-c != 16 {
 		t.Errorf("10/04/09 - 25/03/09 = %d days, want 16", d-c)
 	}

@@ -1,7 +1,6 @@
 package logstore
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -49,13 +48,11 @@ func TestForEachContextBackgroundVisitsAll(t *testing.T) {
 }
 
 func TestReadCorruptIsTyped(t *testing.T) {
-	err := Read(bytes.NewBufferString("{\"set\":3,\"count\":5}\nnot json\n"),
-		func(Record) error { return nil })
+	_, err := readAll(writeLog(t, "{\"set\":3,\"count\":5}\nnot json\n"))
 	if !errors.Is(err, drmerr.ErrStoreCorrupt) {
 		t.Errorf("decode err = %v, want ErrStoreCorrupt", err)
 	}
-	err = Read(bytes.NewBufferString("{\"set\":0,\"count\":5}\n"),
-		func(Record) error { return nil })
+	_, err = readAll(writeLog(t, "{\"set\":0,\"count\":5}\n"))
 	if !errors.Is(err, drmerr.ErrStoreCorrupt) {
 		t.Errorf("invalid-record err = %v, want ErrStoreCorrupt", err)
 	}

@@ -204,7 +204,6 @@ func (m *Mem) Append(r Record) error {
 	m.ledger.Apply(r)
 	m.records = append(m.records, r)
 	m.mu.Unlock()
-	M.Appends.Inc()
 	return nil
 }
 
@@ -450,32 +449,6 @@ func ReadFile(path string, fn func(Record) error) error {
 	}
 }
 
-// Read replays JSONL records from r. Undecodable input, structurally
-// invalid persisted records, and soundness-breaking sequences surface
-// as KindStoreCorrupt errors — a log that fails replay is corrupt
-// state, not a caller mistake.
-func Read(r io.Reader, fn func(Record) error) error {
-	dec := json.NewDecoder(r)
-	var led Ledger
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return drmerr.Wrapf(drmerr.KindStoreCorrupt, "logstore.read", err, "logstore: decode")
-		}
-		if err := rec.Validate(); err != nil {
-			return drmerr.Wrap(drmerr.KindStoreCorrupt, "logstore.read", err)
-		}
-		if err := led.Observe(rec); err != nil {
-			return drmerr.Wrap(drmerr.KindStoreCorrupt, "logstore.read", err)
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-}
-
 // WriteAll writes records as JSONL to w — the interchange writer for
 // workload generators and exports. The sequence must be sound (every debit
 // covered by prior credits), since an unsound log would be refused on
@@ -496,17 +469,4 @@ func WriteAll(w io.Writer, records []Record) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Collect replays a store into a slice.
-func Collect(s Store) ([]Record, error) {
-	out := make([]Record, 0, s.Len())
-	err := s.ForEach(func(r Record) error {
-		out = append(out, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -42,8 +42,8 @@ func TestMemAppendAndReplay(t *testing.T) {
 	if m.Len() != 2 {
 		t.Errorf("Len = %d, want 2", m.Len())
 	}
-	got, err := Collect(m)
-	if err != nil {
+	var got []Record
+	if err := m.ForEach(func(r Record) error { got = append(got, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range recs {
@@ -177,14 +177,12 @@ func TestFileRejectsInvalid(t *testing.T) {
 }
 
 func TestReadRejectsCorrupt(t *testing.T) {
-	err := Read(bytes.NewBufferString("{\"set\":3,\"count\":5}\nnot json\n"),
-		func(Record) error { return nil })
+	_, err := readAll(writeLog(t, "{\"set\":3,\"count\":5}\nnot json\n"))
 	if err == nil {
 		t.Error("corrupt log accepted")
 	}
 	// Structurally invalid records are also rejected.
-	err = Read(bytes.NewBufferString("{\"set\":0,\"count\":5}\n"),
-		func(Record) error { return nil })
+	_, err = readAll(writeLog(t, "{\"set\":0,\"count\":5}\n"))
 	if err == nil {
 		t.Error("empty-set record accepted")
 	}
@@ -199,8 +197,8 @@ func TestWriteAllThenRead(t *testing.T) {
 	if err := WriteAll(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	var got []Record
-	if err := Read(&buf, func(r Record) error { got = append(got, r); return nil }); err != nil {
+	got, err := readAll(writeLog(t, buf.String()))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != recs[0] || got[1] != recs[1] {

@@ -23,31 +23,14 @@ func ParseLogLevel(s string) (slog.Level, error) {
 	}
 }
 
-// NewLogger builds a slog.Logger writing to w in the given format:
-// "text" (human-oriented key=value lines) or "json" (one JSON object per
-// line, for log shippers). This is the -log-format flag's backend shared
-// by the server and CLI tools. It logs at LevelInfo; use NewLeveledLogger
-// to honour a -log-level flag.
-func NewLogger(format string, w io.Writer) (*slog.Logger, error) {
-	return NewLeveledLogger(format, "info", w)
-}
-
-// NewLeveledLogger is NewLogger with a minimum level ("debug", "info",
-// "warn", "error"; "" means info). Debug-level records — per-request
-// trace lines, span-level detail — are dropped by the handler unless the
-// level says otherwise, so enabling them is a flag flip, not a code
-// change.
-func NewLeveledLogger(format, level string, w io.Writer) (*slog.Logger, error) {
-	h, err := NewLogHandler(format, level, w)
-	if err != nil {
-		return nil, err
-	}
-	return slog.New(h), nil
-}
-
-// NewLogHandler builds just the slog.Handler of NewLeveledLogger, for
-// callers that wrap it (the server composes trace.LogHandler around it
-// so request-scoped records gain a trace_id).
+// NewLogHandler builds the slog.Handler behind the -log-format and
+// -log-level flags shared by the server and CLI tools: format is "text"
+// (human-oriented key=value lines) or "json" (one JSON object per line,
+// for log shippers); level is a minimum level as ParseLogLevel reads it.
+// Debug-level records — per-request trace lines, span-level detail — are
+// dropped unless the level says otherwise, so enabling them is a flag
+// flip, not a code change. The server wraps it in trace.LogHandler so
+// request-scoped records gain a trace_id.
 func NewLogHandler(format, level string, w io.Writer) (slog.Handler, error) {
 	lvl, err := ParseLogLevel(level)
 	if err != nil {

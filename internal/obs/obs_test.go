@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"fmt"
+	"log/slog"
 	"regexp"
 	"strconv"
 	"strings"
@@ -256,24 +257,24 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestNewLogger(t *testing.T) {
 	var buf strings.Builder
-	lg, err := NewLogger("json", &buf)
+	h, err := NewLogHandler("json", "info", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg.Info("hello", "k", 1)
+	slog.New(h).Info("hello", "k", 1)
 	if !strings.Contains(buf.String(), `"msg":"hello"`) {
 		t.Errorf("json log output = %q", buf.String())
 	}
 	buf.Reset()
-	lg, err = NewLogger("text", &buf)
+	h, err = NewLogHandler("text", "info", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg.Info("hello")
+	slog.New(h).Info("hello")
 	if !strings.Contains(buf.String(), "msg=hello") {
 		t.Errorf("text log output = %q", buf.String())
 	}
-	if _, err := NewLogger("yaml", &buf); err == nil {
+	if _, err := NewLogHandler("yaml", "info", &buf); err == nil {
 		t.Error("unknown format accepted")
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"os"
 	"runtime"
-	"sync"
 	"time"
 )
 
@@ -30,9 +29,6 @@ type RuntimeSample struct {
 type Runtime struct {
 	// backlog reports the WAL fsync backlog (nil when no WAL).
 	backlog func() int64
-
-	mu   sync.Mutex
-	last RuntimeSample
 
 	goroutines *Gauge
 	heapAlloc  *Gauge
@@ -89,21 +85,7 @@ func (r *Runtime) Sample() RuntimeSample {
 	r.gcPause.Set(s.GCPauseTotalSeconds)
 	r.openFDs.Set(int64(s.OpenFDs))
 	r.walBacklog.Set(s.WALFsyncBacklog)
-	r.mu.Lock()
-	r.last = s
-	r.mu.Unlock()
 	return s
-}
-
-// Last returns the most recent sample without re-reading the runtime
-// (zero sample before the first Sample, or on nil).
-func (r *Runtime) Last() RuntimeSample {
-	if r == nil {
-		return RuntimeSample{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.last
 }
 
 // countOpenFDs counts entries in /proc/self/fd; -1 where the procfs

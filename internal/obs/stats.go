@@ -11,7 +11,7 @@ import (
 // EquationsFull is 2^N−1 (a float because N may exceed 62), and
 // GainRealized = EquationsFull / EquationsChecked is the gain the run
 // actually achieved, which equals the theoretical G whenever every group
-// is revalidated (and exceeds it when the dirty-group cache skips work).
+// is fully validated (a run cut short checks fewer equations).
 //
 // drmaudit/drmbench emit this document under -stats so runs can be
 // compared across code revisions.
@@ -22,8 +22,7 @@ type AuditStats struct {
 	// Groups is the number of disconnected overlap groups.
 	Groups int `json:"groups"`
 
-	// EquationsChecked counts equations actually evaluated this run;
-	// clean groups served from the dirty-group cache contribute nothing.
+	// EquationsChecked counts equations actually evaluated this run.
 	EquationsChecked int64 `json:"equations_checked"`
 	// EquationsFull is 2^N−1, the undivided validator's workload.
 	EquationsFull float64 `json:"equations_full"`
@@ -38,13 +37,9 @@ type AuditStats struct {
 	// ShardsUsed totals the intra-group mask shards across validated
 	// groups (1 per group when serial).
 	ShardsUsed int `json:"shards_used"`
-	// GroupsRevalidated counts groups whose equations were re-evaluated;
-	// CacheHits counts clean groups served from the per-group result
-	// cache, CacheMisses the revalidated ones. Batch audits revalidate
-	// everything; only incremental audits have hits.
+	// GroupsRevalidated counts groups whose equations were fully
+	// evaluated (every group, unless the run was cut short).
 	GroupsRevalidated int `json:"groups_revalidated"`
-	CacheHits         int `json:"cache_hits"`
-	CacheMisses       int `json:"cache_misses"`
 
 	// Violations counts violated equations in the merged report.
 	Violations int `json:"violations"`

@@ -82,15 +82,6 @@ func (gr Grouping) GroupOf(i int) int {
 	return -1
 }
 
-// Sizes returns the N_k sequence.
-func (gr Grouping) Sizes() []int {
-	out := make([]int, len(gr.Groups))
-	for k, g := range gr.Groups {
-		out[k] = g.Size
-	}
-	return out
-}
-
 // Validate checks that the grouping is a partition of [0, N).
 func (gr Grouping) Validate() error {
 	var seen bitset.Mask
@@ -161,9 +152,9 @@ func GroupsOf(c *license.Corpus) Grouping {
 }
 
 // MaskAdjacency is the overlap matrix with bitset rows: row i is the mask
-// of licenses overlapping license i. It enables word-parallel component
-// finding (GroupsMask) — 64 adjacency bits per machine word instead of
-// one bool per byte.
+// of licenses overlapping license i — 64 adjacency bits per machine word
+// instead of one bool per byte, so component finding over a subset of
+// active licenses is word-parallel (see internal/forecast).
 type MaskAdjacency []bitset.Mask
 
 // BuildMaskAdjacency computes the bitset-row overlap matrix.
@@ -180,36 +171,6 @@ func BuildMaskAdjacency(c *license.Corpus) MaskAdjacency {
 		}
 	}
 	return adj
-}
-
-// GroupsMask finds connected components by mask closure: starting from a
-// seed license, repeatedly union the adjacency rows of every member until
-// the frontier empties — each iteration absorbs a whole neighbour set with
-// word-wide ORs. Produces exactly the partition Groups produces
-// (property-tested).
-func GroupsMask(adj MaskAdjacency) Grouping {
-	n := len(adj)
-	gr := Grouping{N: n}
-	var assigned bitset.Mask
-	for i := 0; i < n; i++ {
-		if assigned.Has(i) {
-			continue
-		}
-		members := bitset.MaskOf(i)
-		frontier := bitset.MaskOf(i)
-		for !frontier.Empty() {
-			var next bitset.Mask
-			frontier.ForEach(func(v int) bool {
-				next = next.Union(adj[v])
-				return true
-			})
-			frontier = next.Diff(members)
-			members = members.Union(next)
-		}
-		assigned = assigned.Union(members)
-		gr.Groups = append(gr.Groups, Group{Members: members, Size: members.Len()})
-	}
-	return gr
 }
 
 // CutLicenses returns the articulation licenses of each group: members
@@ -356,9 +317,6 @@ func (g *Grouper) NumGroups() int {
 	}
 	return n
 }
-
-// SameGroup reports whether licenses i and j are currently connected.
-func (g *Grouper) SameGroup(i, j int) bool { return g.find(i) == g.find(j) }
 
 // Grouping materialises the current partition in canonical order (groups
 // sorted by smallest member), matching what Algorithm 3 produces.

@@ -138,9 +138,6 @@ func (d *Dialect) FormatAsDates(tags ...string) error {
 	return nil
 }
 
-// Schema returns the bound schema.
-func (d *Dialect) Schema() *geometry.Schema { return d.schema }
-
 // ParseLicense parses one license expression like
 //
 //	(K; Play; T=[10/03/09, 20/03/09], R=[Asia, Europe]; A=2000)

@@ -58,9 +58,6 @@ func New(schema *geometry.Schema, maxEntries int) *Tree {
 	}
 }
 
-// Len returns the number of stored entries.
-func (t *Tree) Len() int { return t.size }
-
 // Insert adds a rectangle with its payload id. Empty rectangles are
 // rejected: they cannot contain anything and would only pollute MBRs.
 func (t *Tree) Insert(r geometry.Rect, id int) error {
@@ -240,36 +237,6 @@ func (t *Tree) SearchContaining(q geometry.Rect) []int {
 	}
 	walk(t.root)
 	return out
-}
-
-// SearchOverlapping returns the ids of all entries whose rectangle overlaps
-// q on every axis — the overlap-graph edge query.
-func (t *Tree) SearchOverlapping(q geometry.Rect) []int {
-	var out []int
-	var walk func(n *node)
-	walk = func(n *node) {
-		for _, e := range n.entries {
-			if !e.rect.Overlaps(q) {
-				continue
-			}
-			if n.leaf {
-				out = append(out, e.id)
-			} else {
-				walk(e.child)
-			}
-		}
-	}
-	walk(t.root)
-	return out
-}
-
-// Depth returns the tree height (1 for a lone leaf root).
-func (t *Tree) Depth() int {
-	d := 1
-	for n := t.root; !n.leaf; n = n.entries[0].child {
-		d++
-	}
-	return d
 }
 
 // checkInvariants walks the tree verifying structural invariants; tests use

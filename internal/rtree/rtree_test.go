@@ -38,19 +38,14 @@ func TestInsertAndSearchSmall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Len() != 3 {
-		t.Errorf("Len = %d, want 3", tr.Len())
+	if tr.size != 3 {
+		t.Errorf("size = %d, want 3", tr.size)
 	}
 	q := box(s, 6, 9, 6, 9) // inside 0 and 1
 	got := tr.SearchContaining(q)
 	sort.Ints(got)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Errorf("SearchContaining = %v, want [0 1]", got)
-	}
-	ov := tr.SearchOverlapping(box(s, 8, 12, 8, 12))
-	sort.Ints(ov)
-	if len(ov) != 2 || ov[0] != 0 || ov[1] != 1 {
-		t.Errorf("SearchOverlapping = %v, want [0 1]", ov)
 	}
 	if got := tr.SearchContaining(box(s, 200, 201, 200, 201)); len(got) != 0 {
 		t.Errorf("far query returned %v", got)
@@ -89,16 +84,6 @@ func linearContaining(rects []geometry.Rect, q geometry.Rect) []int {
 	return out
 }
 
-func linearOverlapping(rects []geometry.Rect, q geometry.Rect) []int {
-	var out []int
-	for i, r := range rects {
-		if r.Overlaps(q) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 func randBox(r *rand.Rand, s *geometry.Schema) geometry.Rect {
 	x0 := r.Int63n(500)
 	y0 := r.Int63n(500)
@@ -127,11 +112,6 @@ func TestSearchMatchesLinearQuick(t *testing.T) {
 			q := randBox(r, s)
 			got := tr.SearchContaining(q)
 			want := linearContaining(rects, q)
-			if !sameSet(got, want) {
-				return false
-			}
-			got = tr.SearchOverlapping(q)
-			want = linearOverlapping(rects, q)
 			if !sameSet(got, want) {
 				return false
 			}
@@ -166,8 +146,12 @@ func TestDepthGrows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Depth() < 3 {
-		t.Errorf("depth = %d after 200 inserts with fan-out 4", tr.Depth())
+	depth := 1
+	for n := tr.root; !n.leaf; n = n.entries[0].child {
+		depth++
+	}
+	if depth < 3 {
+		t.Errorf("depth = %d after 200 inserts with fan-out 4", depth)
 	}
 	if msg := tr.checkInvariants(); msg != "" {
 		t.Errorf("invariant broken: %s", msg)
@@ -231,9 +215,6 @@ func TestMixedAxesQuick(t *testing.T) {
 		for trial := 0; trial < 15; trial++ {
 			q := mk(r)
 			if !sameSet(tr.SearchContaining(q), linearContaining(rects, q)) {
-				return false
-			}
-			if !sameSet(tr.SearchOverlapping(q), linearOverlapping(rects, q)) {
 				return false
 			}
 		}

@@ -307,9 +307,6 @@ func NewService(reg *obs.Registry, obj Objectives, cfg TrackerConfig) *Service {
 	return s
 }
 
-// Objectives returns the configured objectives.
-func (s *Service) Objectives() Objectives { return s.obj }
-
 // LatencyThreshold returns the latency SLO boundary (0 when disabled or
 // on nil) — the retention bar for exemplar traces.
 func (s *Service) LatencyThreshold() time.Duration {

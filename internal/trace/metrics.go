@@ -34,7 +34,7 @@ type Metrics struct {
 var M Metrics
 
 // Instrument registers the package's metrics on reg and activates the
-// hooks. Call once at startup (engine.InstrumentAll does).
+// hooks. Call once at startup, before concurrent use.
 func Instrument(reg *obs.Registry) {
 	M = Metrics{
 		SpansStarted:    reg.Counter("drm_trace_spans_started_total", "Spans started across all traces."),

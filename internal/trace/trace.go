@@ -211,11 +211,6 @@ func SpanFromContext(ctx context.Context) *Span {
 	return s
 }
 
-// ContextWithSpan returns ctx carrying s as the active span.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
 // IDFromContext returns the active trace's hex ID, or "" when untraced —
 // the value handlers put in error bodies and log lines.
 func IDFromContext(ctx context.Context) string {

@@ -40,7 +40,7 @@ func BenchmarkInsert(b *testing.B) {
 	for _, n := range []int{10, 35} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			recs := benchRecords(n, 7, 4096, 1)
-			tree := MustNew(n)
+			tree := mustNew(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

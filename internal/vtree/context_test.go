@@ -101,7 +101,7 @@ func TestShardedContextMidRunDeadlineIsSound(t *testing.T) {
 }
 
 func TestShardedContextTypedArgErrors(t *testing.T) {
-	tree := MustNew(3)
+	tree := mustNew(3)
 	if err := tree.Insert(bitset.MaskOf(0), 1); err != nil {
 		t.Fatal(err)
 	}

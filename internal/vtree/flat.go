@@ -75,12 +75,6 @@ func (t *Tree) Flatten() *FlatTree {
 	return f
 }
 
-// N returns the number of license indexes the snapshot spans.
-func (f *FlatTree) N() int { return f.n }
-
-// Nodes returns the node count excluding the root sentinel.
-func (f *FlatTree) Nodes() int { return len(f.label) - 1 }
-
 // SumSubsets returns C⟨S⟩ exactly like Tree.SumSubsets, walking the flat
 // arrays instead of the pointer graph. Results are bit-identical: both
 // walks sum the same node counts, and int64 addition is order-insensitive.
@@ -107,12 +101,6 @@ func (f *FlatTree) sumSubsets(idx int32, s uint64, maxElem int32) int64 {
 		}
 	}
 	return total
-}
-
-// ValidateAll runs Algorithm 2 over the snapshot, serially. It is
-// ValidateAllSharded with a single worker.
-func (f *FlatTree) ValidateAll(a []int64) (Result, error) {
-	return f.ValidateAllSharded(a, 1)
 }
 
 // ctxPollMasks is how many masks a shard walker evaluates between

@@ -26,7 +26,7 @@ func randomRecords(t *testing.T, n, count int, seed int64) []logstore.Record {
 }
 
 func TestFlattenShape(t *testing.T) {
-	tree := MustNew(4)
+	tree := mustNew(4)
 	for _, r := range []logstore.Record{
 		{Set: bitset.MaskOf(0, 2), Count: 5},
 		{Set: bitset.MaskOf(1), Count: 3},
@@ -37,11 +37,11 @@ func TestFlattenShape(t *testing.T) {
 		}
 	}
 	f := tree.Flatten()
-	if f.N() != 4 {
-		t.Errorf("N = %d, want 4", f.N())
+	if f.n != 4 {
+		t.Errorf("N = %d, want 4", f.n)
 	}
-	if f.Nodes() != tree.Stats().Nodes {
-		t.Errorf("flat nodes = %d, pointer nodes = %d", f.Nodes(), tree.Stats().Nodes)
+	if nodes := len(f.label) - 1; nodes != tree.Stats().Nodes {
+		t.Errorf("flat nodes = %d, pointer nodes = %d", nodes, tree.Stats().Nodes)
 	}
 	if f.label[0] != -1 || f.count[0] != 0 {
 		t.Errorf("root sentinel = (L=%d, C=%d)", f.label[0], f.count[0])
@@ -134,7 +134,7 @@ func violationsEqual(a, b []Violation) bool {
 }
 
 func TestFlatValidateShardedErrors(t *testing.T) {
-	tree := MustNew(3)
+	tree := mustNew(3)
 	if err := tree.Insert(bitset.MaskOf(0), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestFlatValidateShardedErrors(t *testing.T) {
 
 func TestFlatWorkersBeyondMaskSpace(t *testing.T) {
 	// More workers than masks: shard count must clamp to 2^n.
-	tree := MustNew(2)
+	tree := mustNew(2)
 	if err := tree.Insert(bitset.MaskOf(0, 1), 9); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFlatWorkersBeyondMaskSpace(t *testing.T) {
 }
 
 func TestFlattenSnapshotIsImmutable(t *testing.T) {
-	tree := MustNew(3)
+	tree := mustNew(3)
 	if err := tree.Insert(bitset.MaskOf(0, 1), 4); err != nil {
 		t.Fatal(err)
 	}

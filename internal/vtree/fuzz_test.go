@@ -16,7 +16,7 @@ func FuzzTreeAgainstBruteForce(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0x01, 0x01, 0x80, 0x10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 8
-		tree := MustNew(n)
+		tree := mustNew(n)
 		var records []logstore.Record
 		full := bitset.FullMask(n)
 		for i := 0; i+1 < len(data); i += 2 {

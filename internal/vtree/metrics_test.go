@@ -13,7 +13,7 @@ func metricsFixture(tb testing.TB) (*FlatTree, []int64) {
 	tb.Helper()
 	const n = 12
 	r := rand.New(rand.NewSource(7))
-	t := MustNew(n)
+	t := mustNew(n)
 	for i := 0; i < 300; i++ {
 		set := bitset.Mask(r.Int63()) & bitset.FullMask(n)
 		if set.Empty() {
@@ -69,7 +69,7 @@ func TestShardCountMatchesValidate(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := M.Shards.Value() - before
-		if want := int64(ShardCount(f.N(), workers)); got != want {
+		if want := int64(ShardCount(f.n, workers)); got != want {
 			t.Errorf("workers=%d: observed %d shards, ShardCount says %d", workers, got, want)
 		}
 	}

@@ -59,15 +59,6 @@ func New(n int) (*Tree, error) {
 	return &Tree{root: &Node{L: -1}, n: n}, nil
 }
 
-// MustNew is New for trusted callers; it panics on error.
-func MustNew(n int) *Tree {
-	t, err := New(n)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // NewFromRoot wraps an existing root node (used by the divider when it
 // relinks subtrees into per-group trees). The caller guarantees that all
 // indexes below root are within [0, n).
@@ -303,42 +294,6 @@ func (t *Tree) ValidateAll(a []int64) (Result, error) {
 	return res, nil
 }
 
-// ValidateContaining evaluates only the equations whose set is a superset of
-// base — the 2^(N−k) equations a newly issued license with belongs-to set
-// base participates in (§2.1's online-validation complexity discussion).
-func (t *Tree) ValidateContaining(base bitset.Mask, a []int64) (Result, error) {
-	if len(a) != t.n {
-		return Result{}, fmt.Errorf("vtree: aggregate array has %d entries, want %d", len(a), t.n)
-	}
-	if base.Empty() {
-		return Result{}, errors.New("vtree: empty base set")
-	}
-	full := bitset.FullMask(t.n)
-	if !base.SubsetOf(full) {
-		return Result{}, fmt.Errorf("vtree: base %v outside universe of %d licenses", base, t.n)
-	}
-	var res Result
-	check := func(s bitset.Mask) {
-		cv := t.SumSubsets(s)
-		var av int64
-		s.ForEach(func(e int) bool {
-			av += a[e]
-			return true
-		})
-		res.Equations++
-		if cv > av {
-			res.Violations = append(res.Violations, Violation{Set: s, CV: cv, AV: av})
-		}
-	}
-	rest := full.Diff(base)
-	check(base)
-	rest.Subsets(func(extra bitset.Mask) bool {
-		check(base.Union(extra))
-		return true
-	})
-	return res, nil
-}
-
 // Headroom returns the largest count that could be issued for an issued
 // license with belongs-to set base without violating any validation
 // equation: min over all S ⊇ base of A[S] − C⟨S⟩. Appending a record
@@ -416,8 +371,7 @@ func (t *Tree) Stats() Stats {
 
 // Records exports the tree's (set, count) pairs — every node with C > 0 —
 // in depth-first order. Rebuilding a tree from Records reproduces the tree
-// exactly (the node set is determined by the record sets alone), which is
-// how snapshots round-trip.
+// exactly (the node set is determined by the record sets alone).
 func (t *Tree) Records() []logstore.Record {
 	var out []logstore.Record
 	var walk func(n *Node, path bitset.Mask)

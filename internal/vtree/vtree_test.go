@@ -1,7 +1,6 @@
 package vtree
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -49,7 +48,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestInsertErrors(t *testing.T) {
-	tr := MustNew(3)
+	tr := mustNew(3)
 	if err := tr.Insert(0, 5); err == nil {
 		t.Error("empty set accepted")
 	}
@@ -220,102 +219,6 @@ func TestValidateAllWrongArity(t *testing.T) {
 	}
 }
 
-func TestValidateContaining(t *testing.T) {
-	tr := buildTable2(t)
-	a := example1Aggregates()
-	res, err := tr.ValidateContaining(bitset.MaskOf(0, 1), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// N=5, k=2 → 2^(5-2) = 8 equations.
-	if res.Equations != 8 {
-		t.Errorf("equations = %d, want 8", res.Equations)
-	}
-	if !res.OK() {
-		t.Errorf("unexpected violations: %v", res.Violations)
-	}
-	// Every equation checked must contain the base: verify via a violation.
-	if err := tr.Insert(bitset.MaskOf(1), 10_000); err != nil {
-		t.Fatal(err)
-	}
-	res, err = tr.ValidateContaining(bitset.MaskOf(1), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Equations != 16 {
-		t.Errorf("equations = %d, want 16", res.Equations)
-	}
-	if res.OK() {
-		t.Error("violation not detected by ValidateContaining")
-	}
-	for _, v := range res.Violations {
-		if !bitset.MaskOf(1).SubsetOf(v.Set) {
-			t.Errorf("violation %v does not contain base", v.Set)
-		}
-	}
-}
-
-func TestValidateContainingErrors(t *testing.T) {
-	tr := buildTable2(t)
-	a := example1Aggregates()
-	if _, err := tr.ValidateContaining(0, a); err == nil {
-		t.Error("empty base accepted")
-	}
-	if _, err := tr.ValidateContaining(bitset.MaskOf(7), a); err == nil {
-		t.Error("out-of-universe base accepted")
-	}
-	if _, err := tr.ValidateContaining(bitset.MaskOf(0), []int64{1}); err == nil {
-		t.Error("wrong arity accepted")
-	}
-}
-
-func TestValidateContainingAgreesWithFull(t *testing.T) {
-	// The containing-equations subset of ValidateAll must agree exactly.
-	r := rand.New(rand.NewSource(42))
-	n := 7
-	full := bitset.FullMask(n)
-	var records []logstore.Record
-	for i := 0; i < 300; i++ {
-		set := bitset.Mask(r.Int63()) & full
-		if set.Empty() {
-			continue
-		}
-		records = append(records, logstore.Record{Set: set, Count: int64(1 + r.Intn(20))})
-	}
-	tr, err := BuildRecords(n, records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := make([]int64, n)
-	for i := range a {
-		a[i] = int64(200 + r.Intn(300)) // tight budgets → some violations
-	}
-	fullRes, err := tr.ValidateAll(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := bitset.MaskOf(2, 4)
-	sub, err := tr.ValidateContaining(base, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[bitset.Mask]Violation{}
-	for _, v := range fullRes.Violations {
-		if base.SubsetOf(v.Set) {
-			want[v.Set] = v
-		}
-	}
-	if len(sub.Violations) != len(want) {
-		t.Fatalf("containing violations = %d, want %d", len(sub.Violations), len(want))
-	}
-	for _, v := range sub.Violations {
-		w, ok := want[v.Set]
-		if !ok || w.CV != v.CV || w.AV != v.AV {
-			t.Errorf("mismatch at %v: got %+v want %+v", v.Set, v, w)
-		}
-	}
-}
-
 func TestRecordsRoundTrip(t *testing.T) {
 	tr := buildTable2(t)
 	recs := tr.Records()
@@ -356,68 +259,30 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// mustNew is New for test fixtures; it panics on error.
+func mustNew(n int) *Tree {
+	t, err := New(n)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func TestEqualDifferentN(t *testing.T) {
-	a, b := MustNew(3), MustNew(4)
+	a, b := mustNew(3), mustNew(4)
 	if a.Equal(b) {
 		t.Error("trees over different N reported equal")
 	}
 }
 
 func TestStatsEmptyTree(t *testing.T) {
-	tr := MustNew(5)
+	tr := mustNew(5)
 	st := tr.Stats()
 	if st.Nodes != 0 || st.MaxDepth != 0 {
 		t.Errorf("empty tree stats = %+v", st)
 	}
 	if st.Bytes < nodeFixedBytes {
 		t.Errorf("Bytes = %d, want at least root cost", st.Bytes)
-	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	tr := buildTable2(t)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Equal(back) {
-		t.Error("snapshot round-trip changed the tree")
-	}
-	if back.N() != 5 {
-		t.Errorf("N = %d, want 5", back.N())
-	}
-}
-
-func TestSnapshotCanonical(t *testing.T) {
-	tr := buildTable2(t)
-	var b1, b2 bytes.Buffer
-	if err := tr.Save(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Clone().Save(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Error("equal trees produced different snapshots")
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("")); err == nil {
-		t.Error("empty snapshot accepted")
-	}
-	if _, err := Load(bytes.NewBufferString(`{"version":99,"n":3}`)); err == nil {
-		t.Error("future version accepted")
-	}
-	if _, err := Load(bytes.NewBufferString(`{"version":1,"n":3}` + "\nbroken\n")); err == nil {
-		t.Error("corrupt record accepted")
-	}
-	if _, err := Load(bytes.NewBufferString(`{"version":1,"n":3}` + "\n" + `{"set":255,"count":1}` + "\n")); err == nil {
-		t.Error("out-of-universe record accepted")
 	}
 }
 
@@ -438,7 +303,7 @@ func TestBuildFromStore(t *testing.T) {
 }
 
 func TestStringRendering(t *testing.T) {
-	tr := MustNew(3)
+	tr := mustNew(3)
 	if err := tr.Insert(bitset.MaskOf(0, 2), 7); err != nil {
 		t.Fatal(err)
 	}
@@ -623,8 +488,8 @@ func TestMergeCombinesLogs(t *testing.T) {
 }
 
 func TestMergeErrorsAndLaws(t *testing.T) {
-	a := MustNew(4)
-	b := MustNew(5)
+	a := mustNew(4)
+	b := mustNew(5)
 	if err := a.Merge(b); err == nil {
 		t.Error("universe mismatch accepted")
 	}

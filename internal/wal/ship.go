@@ -53,15 +53,6 @@ func (c Cursor) String() string {
 	return fmt.Sprintf("(seg %d, off %d, seq %d)", c.Segment, c.Offset, c.Seq)
 }
 
-// Before reports whether c is strictly behind other in the segment
-// stream.
-func (c Cursor) Before(other Cursor) bool {
-	if c.Segment != other.Segment {
-		return c.Segment < other.Segment
-	}
-	return c.Offset < other.Offset
-}
-
 // StartCursor is where tailing a store with no snapshot begins.
 func StartCursor() Cursor {
 	return Cursor{Segment: 1, Offset: segmentHeaderSize}

@@ -185,7 +185,6 @@ func (s *Store) snapshotLocked(ctx context.Context) (SnapshotInfo, error) {
 	s.snapSeg = s.segIdx
 	s.snapOff = s.size
 	s.sinceSnap = 0
-	s.lastSnap = time.Now()
 	info := SnapshotInfo{
 		Records: len(merged), Seq: s.seq,
 		Segment: s.segIdx, Offset: s.size,
@@ -194,22 +193,14 @@ func (s *Store) snapshotLocked(ctx context.Context) (SnapshotInfo, error) {
 	M.Snapshots.Inc()
 	M.SnapshotSeconds.Observe(info.Duration.Seconds())
 	M.SnapshotRecords.Set(int64(len(merged)))
-	M.SnapshotUnix.Set(s.lastSnap.Unix())
+	M.SnapshotUnix.Set(time.Now().Unix())
 	// Segments wholly below the watermark are now redundant. Retiring
 	// them here, under the store lock, makes the snapshot compaction's
-	// only owner: no background pass races an explicit Compact. A failed
-	// removal leaves the snapshot valid and is retried by the next one;
+	// only owner: no background pass races it. A failed removal leaves
+	// the snapshot valid and is retried by the next one;
 	// drm_wal_compaction_errors_total counts it.
 	info.Retired, _ = s.compactLocked()
 	return info, nil
-}
-
-// LastSnapshot returns the in-process time of the latest checkpoint
-// (zero if none was taken by this process).
-func (s *Store) LastSnapshot() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastSnap
 }
 
 // SnapshotSeq returns the watermark sequence of the installed snapshot.
@@ -217,17 +208,6 @@ func (s *Store) SnapshotSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.snapSeq
-}
-
-// Compact removes segment files wholly covered by the installed
-// snapshot — every segment with an index below the watermark segment —
-// and returns how many were retired. Every snapshot already compacts
-// what it covers, so this finds work only after a failed removal;
-// calling it is safe and idempotent.
-func (s *Store) Compact() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
 }
 
 // removeSegment deletes one segment file; tests swap it to make a

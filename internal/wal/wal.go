@@ -201,7 +201,6 @@ type Store struct {
 	tail      []logstore.Record // records appended after the watermark
 	ledger    logstore.Ledger   // lifecycle state over snap+tail, checked on append
 	sinceSnap int               // appends since the last snapshot
-	lastSnap  time.Time
 
 	buf []byte // frame scratch, reused across appends
 
@@ -662,16 +661,6 @@ func (s *Store) syncLocked(ctx context.Context) error {
 	s.synced = s.seq
 	s.syncedSize = s.size
 	return nil
-}
-
-// Sync forces an fsync of the active segment now, whatever the policy.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.stateErrLocked(); err != nil {
-		return err
-	}
-	return s.syncLocked(context.Background())
 }
 
 // syncLoop is the FsyncInterval group-committer: one fsync per interval

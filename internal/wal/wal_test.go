@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -34,8 +35,11 @@ func testRecords(n int) []logstore.Record {
 
 func collect(t *testing.T, s logstore.Store) []logstore.Record {
 	t.Helper()
-	recs, err := logstore.Collect(s)
-	if err != nil {
+	var recs []logstore.Record
+	if err := s.ForEach(func(r logstore.Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
 		t.Fatalf("collect: %v", err)
 	}
 	return recs
@@ -241,7 +245,10 @@ func TestFsyncOSExplicitSync(t *testing.T) {
 	if s.SyncedSeq() != 0 {
 		t.Errorf("SyncedSeq = %d before Sync, want 0", s.SyncedSeq())
 	}
-	if err := s.Sync(); err != nil {
+	s.mu.Lock()
+	err = s.syncLocked(context.Background())
+	s.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if s.SyncedSeq() != 5 {
