@@ -9,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/drmerr"
 	"repro/internal/license"
+	"repro/internal/slo"
 )
 
 // catalogServer is the multi-content mode: every catalog entry is served
@@ -59,18 +60,9 @@ func newCatalogServer(cat *catalog.Catalog, workers int) *catalogServer {
 func (s *catalogServer) routes() http.Handler {
 	mux := http.NewServeMux()
 	s.obs.mountCommon(mux)
-	s.obs.wrap(mux, "GET /v1/contents", s.handleContents)
-	s.obs.wrap(mux, "GET /v1/c/{content}/{perm}/corpus", s.entry(corpusAPI.handleCorpus))
-	s.obs.wrap(mux, "GET /v1/c/{content}/{perm}/groups", s.entry(corpusAPI.handleGroups))
-	s.obs.wrap(mux, "POST /v1/c/{content}/{perm}/issue", s.entry(corpusAPI.handleIssue))
-	s.obs.wrap(mux, "POST /v1/c/{content}/{perm}/revoke", s.entry(corpusAPI.handleRevoke))
-	s.obs.wrap(mux, "POST /v1/c/{content}/{perm}/transfer", s.entry(corpusAPI.handleTransfer))
-	s.obs.wrap(mux, "POST /v1/c/{content}/{perm}/expire", s.entry(corpusAPI.handleExpire))
-	s.obs.wrap(mux, "GET /v1/c/{content}/{perm}/audit", s.entry(corpusAPI.handleAudit))
-	s.obs.wrap(mux, "GET /v1/c/{content}/{perm}/stats", s.entry(corpusAPI.handleStats))
-	s.obs.wrap(mux, "GET /v1/c/{content}/{perm}/headroom", s.obs.drainGuard(s.entry(corpusAPI.handleHeadroom)))
-	s.obs.wrap(mux, "POST /v1/c/{content}/{perm}/snapshot", s.entry(corpusAPI.handleSnapshot))
-	s.obs.wrap(mux, "POST /v1/snapshot", s.handleSnapshotAll)
+	s.obs.mount(mux, "GET /v1/contents", s.handleContents)
+	s.obs.mountCorpus(mux, "/v1/c/{content}/{perm}/", s.resolve)
+	s.obs.mount(mux, "POST /v1/snapshot", s.handleSnapshotAll)
 	return mux
 }
 
@@ -111,25 +103,20 @@ func (s *catalogServer) handleSnapshotAll(w http.ResponseWriter, r *http.Request
 	writeJSON(w, http.StatusOK, out)
 }
 
-// entry resolves the path's (content, perm) to a corpusAPI and
-// dispatches, feeding the entry's sliding SLO window; unknown pairs get
-// a typed 404 {error, kind} body and touch no entry window.
-func (s *catalogServer) entry(h func(corpusAPI, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		content := r.PathValue("content")
-		perm := license.Permission(r.PathValue("perm"))
-		s.mu.RLock()
-		e := s.cat.Get(content, perm)
-		s.mu.RUnlock()
-		if e == nil {
-			writeError(r.Context(), w, drmerr.New(drmerr.KindNotFound, "drmserver",
-				"no corpus for (%s, %s)", content, perm))
-			return
-		}
-		api := corpusAPI{mu: &s.mu, corpus: e.Corpus, dist: e.Dist, workers: s.workers, wal: e.Log}
-		t := s.obs.slo.Entry(content + "/" + string(perm))
-		entryObserved(t, func(w http.ResponseWriter, r *http.Request) { h(api, w, r) })(w, r)
+// resolve maps the path's (content, perm) to its corpusAPI and entry
+// window; an unknown pair is a typed 404 {error, kind}.
+func (s *catalogServer) resolve(r *http.Request) (corpusAPI, *slo.Tracker, error) {
+	content := r.PathValue("content")
+	perm := license.Permission(r.PathValue("perm"))
+	s.mu.RLock()
+	e := s.cat.Get(content, perm)
+	s.mu.RUnlock()
+	if e == nil {
+		return corpusAPI{}, nil, drmerr.New(drmerr.KindNotFound, "drmserver",
+			"no corpus for (%s, %s)", content, perm)
 	}
+	api := corpusAPI{mu: &s.mu, corpus: e.Corpus, dist: e.Dist, workers: s.workers, wal: e.Log}
+	return api, s.obs.slo.Entry(content + "/" + string(perm)), nil
 }
 
 type contentsBody struct {

@@ -66,14 +66,6 @@ func (s *server) currentAPI() corpusAPI {
 	return s.api
 }
 
-// entry adapts a corpusAPI method to an http.HandlerFunc resolving the
-// current API per request.
-func (s *server) entry(h func(corpusAPI, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		h(s.currentAPI(), w, r)
-	}
-}
-
 // leaderFor returns the current replication serving side.
 func (s *server) leaderFor() *cluster.Leader {
 	s.swapMu.RLock()
@@ -255,14 +247,13 @@ func runRouter(addr string, cf clusterFlags) error {
 
 	mux := http.NewServeMux()
 	o.mountCommon(mux)
-	o.wrap(mux, "GET /v1/cluster", rt.HandleCluster)
-	o.wrap(mux, "GET /v1/cluster/status", rt.HandleClusterStatus)
-	o.wrap(mux, "GET /v1/cluster/traces/{id}", rt.HandleClusterTrace)
+	o.mount(mux, "GET /v1/cluster", rt.HandleCluster)
+	o.mount(mux, "GET /v1/cluster/status", rt.HandleClusterStatus)
+	o.mount(mux, "GET /v1/cluster/traces/{id}", rt.HandleClusterTrace)
 	// Everything else is someone else's request: forward it to the
-	// owning shard (or 307 there with -redirect). The empty pattern
-	// names each root span "METHOD /path" so the router's fragment of a
-	// forwarded request lines up with the peer's root by name.
-	mux.Handle("/", traced("", o.httpm.Wrap("proxy", http.Handler(rt))))
+	// owning shard (or 307 there with -redirect), with no SLO window of
+	// its own — the owning peer tracks it.
+	mux.Handle("/", o.observed(proxyEndpoint, nil, rt))
 	mode := "proxy"
 	if cf.redirect {
 		mode = "redirect"

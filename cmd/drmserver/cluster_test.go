@@ -272,6 +272,37 @@ func TestFollowerRebootstrapSwapsServingState(t *testing.T) {
 	}
 }
 
+// TestSweepExpiredDuringRebootstrap: the single-corpus expiry sweeper
+// resolves the serving state through the swap lock, so it runs race-free
+// against a follower re-bootstrap swapping distributor and store. Run
+// with -race.
+func TestSweepExpiredDuringRebootstrap(t *testing.T) {
+	lsrv, lts, lex := newClusterTestServer(t)
+	fsrv, _, _ := newClusterTestServer(t)
+	issueN(t, lts.URL, lex, 1)
+	doc, err := lsrv.currentAPI().wal.Bootstrap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// resetMirror closes each store it replaces; close the last one.
+	t.Cleanup(func() { fsrv.currentAPI().wal.Close() })
+	ctx := context.Background()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			fsrv.sweepExpired(ctx)
+		}
+	}()
+	for i := 0; i < 5; i++ {
+		if _, err := fsrv.resetMirror(ctx, doc); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	<-done
+}
+
 // TestStandaloneRoleProbe: a server with no cluster wiring answers the
 // role probe as a ready standalone — what routers expect from legacy
 // peers.

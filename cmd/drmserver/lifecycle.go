@@ -9,10 +9,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -36,25 +32,6 @@ type lifecycleResponse struct {
 	Count     int64  `json:"count"`
 }
 
-// decodeLifecycle reads and validates the shared revoke/transfer body,
-// returning the resolved rectangle. A false return means the error has
-// been written.
-func (s corpusAPI) decodeLifecycle(w http.ResponseWriter, r *http.Request) (lifecycleRequest, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxIssueBody)
-	var req lifecycleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			clientError(r.Context(), w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return req, false
-		}
-		clientError(r.Context(), w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return req, false
-	}
-	return req, true
-}
-
 // writeLifecycle answers a decided lifecycle operation the same way
 // handleIssue does: taxonomy errors carry their own status (409
 // violation / ledger_unsound, 422 instance-invalid, 400 invalid input,
@@ -76,8 +53,8 @@ func writeLifecycle(ctx context.Context, w http.ResponseWriter, op string, set b
 // (409 ledger_unsound) a revoke exceeding the set's net outstanding
 // count; an accepted revoke frees headroom immediately in online mode.
 func (s corpusAPI) handleRevoke(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeLifecycle(w, r)
-	if !ok {
+	var req lifecycleRequest
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	rect, err := license.BuildRect(s.corpus.Schema(), req.Values)
@@ -95,8 +72,8 @@ func (s corpusAPI) handleRevoke(w http.ResponseWriter, r *http.Request) {
 // Online mode enforces the outstanding bound and the cumulative
 // transfer cap (-transfer-cap), both answering 409.
 func (s corpusAPI) handleTransfer(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeLifecycle(w, r)
-	if !ok {
+	var req lifecycleRequest
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	rect, err := license.BuildRect(s.corpus.Schema(), req.Values)
@@ -122,8 +99,7 @@ type expireRequest struct {
 // sweeper (-expire-every) runs the same body on a ticker.
 func (s corpusAPI) handleExpire(w http.ResponseWriter, r *http.Request) {
 	var req expireRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIssueBody)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		clientError(r.Context(), w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &req, true) {
 		return
 	}
 	now := time.Now()
@@ -164,9 +140,10 @@ func startSweeper(interval time.Duration, sweep func(context.Context)) (stop fun
 
 // sweepExpired is the single-corpus sweeper tick.
 func (s *server) sweepExpired(ctx context.Context) {
-	s.api.mu.Lock()
-	res, err := s.api.dist.ExpireSweep(ctx, time.Now())
-	s.api.mu.Unlock()
+	api := s.currentAPI()
+	api.mu.Lock()
+	res, err := api.dist.ExpireSweep(ctx, time.Now())
+	api.mu.Unlock()
 	if err != nil && !drmerr.IsCancellation(err) {
 		logger.Error("expiry sweep failed", "err", err)
 		return

@@ -28,8 +28,8 @@
 // (see internal/catalog for the layout):
 //
 //	GET  /v1/contents                        → entry listing
-//	GET  /v1/c/{content}/{perm}/corpus       (and /groups, /audit, /headroom)
-//	POST /v1/c/{content}/{perm}/issue
+//	GET  /v1/c/{content}/{perm}/corpus       (and every other corpus route
+//	POST /v1/c/{content}/{perm}/issue         above, from one route table)
 package main
 
 import (
@@ -39,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -108,8 +109,6 @@ func run() error {
 			"latency SLO target in percent: the share of requests that must finish under -slo-latency")
 		sloAvailability = flag.Float64("slo-availability", sloObjectives.Availability*100,
 			"availability SLO target in percent: the share of requests that must not answer 5xx (0 disables)")
-		telemetryEvery = flag.Duration("telemetry-interval", 10*time.Second,
-			"runtime/SLO telemetry sampling interval (0 disables the ticker; /metrics and /v1/status still sample on demand)")
 		expireEvery = flag.Duration("expire-every", 0,
 			"background expiry sweep interval debiting due TTL issuances (0 disables; POST /v1/expire sweeps on demand)")
 		transferCap = flag.Int64("transfer-cap", 0,
@@ -178,7 +177,6 @@ func run() error {
 		LatencyTarget:    *sloLatencyTarget / 100,
 		LatencyThreshold: *sloLatency,
 	}
-	telemetryInterval = *telemetryEvery
 	srvTimeouts = serverTimeouts{
 		readHeader: *readHeaderTO,
 		read:       *readTO,
@@ -339,7 +337,7 @@ func run() error {
 		}
 	}()
 	srv.walOpts = walOpts
-	srv.api.dist.SetTransferCap(*transferCap)
+	srv.currentAPI().dist.SetTransferCap(*transferCap)
 	if clf.role == cluster.RoleLeader {
 		srv.role = cluster.RoleLeader
 	}
@@ -438,10 +436,6 @@ func serve(addr string, handler http.Handler, o *serverObs) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if telemetryInterval > 0 {
-		stopTelemetry := o.startTelemetry(telemetryInterval)
-		defer stopTelemetry()
-	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	select {
@@ -564,29 +558,67 @@ func newServer(corpus *license.Corpus, store *wal.Store, mode engine.Mode, worke
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	s.obs.mountCommon(mux)
-	// Single-corpus mode has one catalog entry; track it under "corpus"
-	// so /v1/slo and /v1/status expose the same entry-scoped windows the
-	// catalog mode does. Handlers resolve the current corpusAPI per
-	// request through s.entry, so a follower re-bootstrap's store swap
-	// is visible without remounting.
+	// Single-corpus mode is one catalog entry, tracked as "corpus" so
+	// /v1/slo and /v1/status expose the same entry windows catalog mode
+	// does. The corpusAPI is resolved per request, so a follower
+	// re-bootstrap's store swap is visible without remounting.
 	entry := s.obs.slo.Entry("corpus")
-	s.obs.wrap(mux, "GET /v1/corpus", s.entry(corpusAPI.handleCorpus))
-	s.obs.wrap(mux, "GET /v1/groups", s.entry(corpusAPI.handleGroups))
-	s.obs.wrap(mux, "POST /v1/issue", entryObserved(entry, s.entry(corpusAPI.handleIssue)))
-	s.obs.wrap(mux, "POST /v1/revoke", entryObserved(entry, s.entry(corpusAPI.handleRevoke)))
-	s.obs.wrap(mux, "POST /v1/transfer", entryObserved(entry, s.entry(corpusAPI.handleTransfer)))
-	s.obs.wrap(mux, "POST /v1/expire", entryObserved(entry, s.entry(corpusAPI.handleExpire)))
-	s.obs.wrap(mux, "GET /v1/audit", entryObserved(entry, s.entry(corpusAPI.handleAudit)))
-	s.obs.wrap(mux, "GET /v1/stats", s.entry(corpusAPI.handleStats))
-	s.obs.wrap(mux, "GET /v1/headroom", s.obs.drainGuard(s.entry(corpusAPI.handleHeadroom)))
-	s.obs.wrap(mux, "POST /v1/snapshot", s.entry(corpusAPI.handleSnapshot))
+	s.obs.mountCorpus(mux, "/v1/", func(*http.Request) (corpusAPI, *slo.Tracker, error) {
+		return s.currentAPI(), entry, nil
+	})
 	// Replication: the serving side every single-corpus server exposes, plus
-	// the follower's promotion trigger. Untracked like the health probes
-	// — a follower's poll loop must not burn the SLO budget.
-	s.obs.wrapUntracked(mux, "GET /v1/repl/wal", s.handleReplWAL)
-	s.obs.wrapUntracked(mux, "GET /v1/repl/snapshot", s.handleReplSnapshot)
-	s.obs.wrap(mux, "POST /v1/promote", s.handlePromote)
+	// the follower's promotion trigger. The polls take no SLO window, like
+	// the health probes — a follower's poll loop must not burn the budget.
+	mux.Handle("GET /v1/repl/wal", s.obs.observed("GET /v1/repl/wal", nil, http.HandlerFunc(s.handleReplWAL)))
+	mux.Handle("GET /v1/repl/snapshot", s.obs.observed("GET /v1/repl/snapshot", nil, http.HandlerFunc(s.handleReplSnapshot)))
+	s.obs.mount(mux, "POST /v1/promote", s.handlePromote)
 	return mux
+}
+
+// corpusRoutes are the routes of one (content, permission) corpus, the
+// unit both modes serve: single-corpus mode mounts them under /v1/,
+// catalog mode under /v1/c/{content}/{perm}/.
+var corpusRoutes = []struct {
+	method, name string
+	handle       func(corpusAPI, http.ResponseWriter, *http.Request)
+	// drainGuarded routes answer a typed 503 once graceful shutdown has
+	// begun, before the corpus is resolved.
+	drainGuarded bool
+}{
+	{"GET", "corpus", corpusAPI.handleCorpus, false},
+	{"GET", "groups", corpusAPI.handleGroups, false},
+	{"POST", "issue", corpusAPI.handleIssue, false},
+	{"POST", "revoke", corpusAPI.handleRevoke, false},
+	{"POST", "transfer", corpusAPI.handleTransfer, false},
+	{"POST", "expire", corpusAPI.handleExpire, false},
+	{"GET", "audit", corpusAPI.handleAudit, false},
+	{"GET", "stats", corpusAPI.handleStats, false},
+	{"GET", "headroom", corpusAPI.handleHeadroom, true},
+	{"POST", "snapshot", corpusAPI.handleSnapshot, false},
+}
+
+// mountCorpus mounts corpusRoutes under prefix, each observed under its
+// own endpoint window. resolve maps a request to the corpus it addresses
+// and that corpus's entry window, which the request then feeds; a
+// resolve error is written as the response and feeds no entry window.
+func (o *serverObs) mountCorpus(mux *http.ServeMux, prefix string,
+	resolve func(*http.Request) (corpusAPI, *slo.Tracker, error)) {
+	for _, rt := range corpusRoutes {
+		handle := rt.handle
+		h := func(w http.ResponseWriter, r *http.Request) {
+			api, entry, err := resolve(r)
+			if err != nil {
+				writeError(r.Context(), w, err)
+				return
+			}
+			w.(*observedWriter).entry = entry
+			handle(api, w, r)
+		}
+		if rt.drainGuarded {
+			h = o.drainGuard(h)
+		}
+		o.mount(mux, rt.method+" "+prefix+rt.name, h)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -676,17 +708,28 @@ type issueResponse struct {
 	Count     int64  `json:"count"`
 }
 
+// decodeBody decodes r's JSON body into v under the -max-body cap: an
+// oversized body answers a structured 413, malformed JSON a 400, and an
+// empty body is accepted only when allowEmpty. A false return means the
+// error response has been written.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, allowEmpty bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIssueBody)).Decode(v)
+	if err == nil || allowEmpty && errors.Is(err, io.EOF) {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		clientError(r.Context(), w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+		return false
+	}
+	clientError(r.Context(), w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	return false
+}
+
 func (s corpusAPI) handleIssue(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxIssueBody)
 	var req issueRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			clientError(r.Context(), w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		clientError(r.Context(), w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	kind := license.Usage

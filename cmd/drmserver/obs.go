@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,11 +40,6 @@ var maxIssueBody int64 = 1 << 20
 // constructed in this process evaluates; run() overrides them via
 // -slo-latency / -slo-latency-target / -slo-availability.
 var sloObjectives = slo.DefaultObjectives()
-
-// telemetryInterval paces the runtime/SLO sampling ticker serve()
-// starts; zero disables it (handler-level tests and scrape-on-demand
-// still work). run() overrides it via -telemetry-interval.
-var telemetryInterval time.Duration
 
 // serverObs bundles the observability state both server modes share: the
 // metrics registry with all engine-layer hooks wired, the HTTP
@@ -97,9 +91,6 @@ func newServerObs(ready func() error) *serverObs {
 		start: time.Now(),
 		ready: ready,
 	}
-	// Metric→trace exemplars: traced requests stamp their trace ID on
-	// the latency bucket they land in.
-	o.httpm.ExemplarID = trace.IDFromContext
 	// Heavy-hitter attribution follows the same discipline: the package
 	// hook points at the most recently constructed server.
 	engine.Hitters = o.slo.Hitters()
@@ -112,55 +103,115 @@ func newServerObs(ready func() error) *serverObs {
 	return o
 }
 
-// wrap mounts h on mux instrumented under the route pattern: a root
-// trace span covering the whole request, SLO window/burn tracking, then
-// request counts by status class and a latency histogram.
-func (o *serverObs) wrap(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
-	mux.Handle(pattern, traced(pattern, o.sloObserved(o.slo.Endpoint(pattern), o.httpm.Wrap(pattern, h))))
+// proxyEndpoint labels the router's catch-all forwarding route. Its
+// root spans are named "METHOD /path" per request, so a router root
+// lines up by name with the peer root it forwards to.
+const proxyEndpoint = "proxy"
+
+// mount serves h at pattern through observed, feeding the pattern's
+// endpoint SLO window.
+func (o *serverObs) mount(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
+	mux.Handle(pattern, o.observed(pattern, o.slo.Endpoint(pattern), h))
 }
 
-// wrapUntracked is wrap without the SLO layer — health and readiness
-// probes answer 503 by design (drain, warm-up) and must not burn the
-// availability budget.
-func (o *serverObs) wrapUntracked(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
-	mux.Handle(pattern, traced(pattern, o.httpm.Wrap(pattern, h)))
+// observedWriter is the serving edge's one status-capturing
+// ResponseWriter: the first status written (200 when the handler only
+// writes a body, or nothing), plus the entry window a corpus route
+// resolved for the request.
+type observedWriter struct {
+	http.ResponseWriter
+	status int
+	entry  *slo.Tracker
 }
 
-// sloObserved feeds the endpoint's sliding window and burn ring: 5xx
-// responses burn the availability budget, requests at or over the
-// latency threshold burn the latency budget and have their traces
-// force-retained so the exemplars pointing at them stay resolvable in
-// /debug/traces.
-func (o *serverObs) sloObserved(t *slo.Tracker, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &traceStatusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		d := time.Since(start)
-		t.Observe(d, status >= 500)
-		if thr := o.slo.LatencyThreshold(); thr > 0 && d >= thr {
-			trace.SpanFromContext(r.Context()).Retain()
-		}
-	})
-}
-
-// entryObserved feeds one catalog entry's sliding window, inside the
-// endpoint instrumentation.
-func entryObserved(t *slo.Tracker, next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &traceStatusWriter{ResponseWriter: w}
-		next(sw, r)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		t.Observe(time.Since(start), status >= 500)
+func (w *observedWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
 	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *observedWriter) Write(b []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	return w.ResponseWriter.Write(b)
+}
+
+// observed is the request-observation middleware every served route
+// passes through: one status-capturing writer and one clock pair per
+// request. With tracing on it starts the root span first, continuing an
+// incoming traceparent (a request forwarded by the router, or a
+// follower's replication fetch) so /v1/cluster/traces/{id} can merge the
+// per-process fragments; every layer below hangs its spans off that
+// root. When the handler returns it feeds, in order:
+//   - the in-flight gauge, the drm_http_request_seconds histogram (the
+//     trace ID as exemplar) and the status-class counter of endpoint;
+//   - the endpoint's SLO window t (nil for probes and replication polls,
+//     which answer 503 by design and must not burn the budget) — 5xx
+//     burns availability, and a request at or over the latency threshold
+//     has its trace force-retained so the exemplar pointing at it stays
+//     resolvable in /debug/traces;
+//   - the entry window a corpus route resolved;
+//   - the root span (status attributes; >= 400 marks it failed, which
+//     tail sampling always retains) and the request log line, which
+//     shares the span's trace_id with any error body.
+func (o *serverObs) observed(endpoint string, t *slo.Tracker, next http.Handler) http.Handler {
+	m := o.httpm.Endpoint(endpoint)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		m.Begin()
+		start := time.Now()
+		var sp *trace.Span
+		if tracer != nil {
+			name := endpoint
+			if endpoint == proxyEndpoint {
+				name = r.Method + " " + r.URL.Path
+			}
+			var ctx context.Context
+			if rp, ok := trace.Extract(r.Header); ok {
+				ctx, sp = tracer.RootRemote(r.Context(), name, rp)
+			} else {
+				ctx, sp = tracer.Root(r.Context(), name)
+			}
+			r = r.WithContext(ctx)
+		}
+		ow := &observedWriter{ResponseWriter: w}
+		next.ServeHTTP(ow, r)
+		d := time.Since(start)
+		status := ow.status
+		if status == 0 {
+			status = http.StatusOK
+		}
+		m.End(d, status, sp.TraceID())
+		if t != nil {
+			t.Observe(d, status >= 500)
+			if thr := o.slo.LatencyThreshold(); thr > 0 && d >= thr {
+				sp.Retain()
+			}
+		}
+		ow.entry.Observe(d, status >= 500)
+		if sp == nil {
+			return
+		}
+		sp.SetAttr("method", r.Method)
+		sp.SetAttr("path", r.URL.Path)
+		sp.SetInt("status", int64(status))
+		if status >= 400 {
+			sp.Fail(fmt.Errorf("HTTP %d", status))
+		}
+		sp.End()
+		lvl := slog.LevelInfo
+		switch {
+		case status >= 500:
+			lvl = slog.LevelError
+		case status >= 400:
+			lvl = slog.LevelWarn
+		}
+		logger.LogAttrs(r.Context(), lvl, "request",
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", status))
+	})
 }
 
 // drainGuard refuses requests with a typed 503 once graceful shutdown
@@ -177,111 +228,6 @@ func (o *serverObs) drainGuard(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// startTelemetry runs the sampling ticker: runtime gauges plus SLO
-// gauge refresh every interval. The returned stop joins the goroutine.
-func (o *serverObs) startTelemetry(every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				o.runtime.Sample()
-				o.slo.Refresh()
-			}
-		}
-	}()
-	return func() { close(done); wg.Wait() }
-}
-
-// traceStatusWriter records the response status for the root span and
-// the request log line.
-type traceStatusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *traceStatusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *traceStatusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// traced starts a root span named by the route pattern around next, so
-// every layer below (engine, core, vtree, logstore, wal) hangs its spans
-// off this request's trace. An incoming traceparent header (a request
-// forwarded by the router, or a follower's replication fetch) is
-// extracted first: the root then continues the upstream trace ID
-// instead of minting one, which is what lets /v1/cluster/traces/{id}
-// merge the per-process fragments. An empty pattern (the router's
-// catch-all proxy route) names the root "METHOD /path" per request, so
-// router roots line up with the leader roots they forward to. After the
-// handler returns it marks error status (>= 400 — tail-sampling then
-// always retains the trace), ends the root, and emits the request log
-// line with the span-carrying context, so the line and any error body
-// share one trace_id. With tracing off it is a pass-through.
-func traced(pattern string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if tracer == nil {
-			next.ServeHTTP(w, r)
-			return
-		}
-		name := pattern
-		if name == "" {
-			name = r.Method + " " + r.URL.Path
-		}
-		var ctx context.Context
-		var sp *trace.Span
-		if rp, ok := trace.Extract(r.Header); ok {
-			ctx, sp = tracer.RootRemote(r.Context(), name, rp)
-		} else {
-			ctx, sp = tracer.Root(r.Context(), name)
-		}
-		if sp == nil {
-			next.ServeHTTP(w, r)
-			return
-		}
-		sw := &traceStatusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		sp.SetAttr("method", r.Method)
-		sp.SetAttr("path", r.URL.Path)
-		sp.SetInt("status", int64(status))
-		if status >= 400 {
-			sp.Fail(fmt.Errorf("HTTP %d", status))
-		}
-		sp.End()
-		lvl := slog.LevelInfo
-		switch {
-		case status >= 500:
-			lvl = slog.LevelError
-		case status >= 400:
-			lvl = slog.LevelWarn
-		}
-		logger.LogAttrs(ctx, lvl, "request",
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", status))
-	})
-}
-
 // mountCommon adds the routes both server modes share: the Prometheus/
 // OpenMetrics exposition (SLO gauges refreshed per scrape), the unified
 // status pane, the machine-readable SLO state, the retained-trace ring,
@@ -291,11 +237,16 @@ func (o *serverObs) mountCommon(mux *http.ServeMux) {
 	mux.Handle("GET /metrics", o.metricsHandler())
 	mux.Handle("GET /debug/traces", traceHandler())
 	mux.Handle("GET /debug/traces/{id}", traceHandler())
-	o.wrap(mux, "GET /v1/status", o.handleStatus)
-	o.wrap(mux, "GET /v1/slo", o.drainGuard(o.handleSLO))
-	o.wrapUntracked(mux, "GET /v1/healthz", o.handleHealthz)
-	o.wrapUntracked(mux, "GET /v1/readyz", o.handleReadyz)
-	o.wrapUntracked(mux, "GET /v1/repl/role", o.handleRole)
+	o.mount(mux, "GET /v1/status", o.handleStatus)
+	o.mount(mux, "GET /v1/slo", o.drainGuard(o.handleSLO))
+	// Probes answer 503 by design (drain, warm-up): no SLO window.
+	for pattern, h := range map[string]http.HandlerFunc{
+		"GET /v1/healthz":   o.handleHealthz,
+		"GET /v1/readyz":    o.handleReadyz,
+		"GET /v1/repl/role": o.handleRole,
+	} {
+		mux.Handle(pattern, o.observed(pattern, nil, h))
+	}
 }
 
 // handleRole is the cluster role probe routers and operators poll: the
@@ -312,13 +263,15 @@ func (o *serverObs) handleRole(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// metricsHandler refreshes the drm_slo_* gauges before every scrape so
-// burn rates and windowed quantiles are current, then defers to the
+// metricsHandler refreshes the drm_slo_* gauges and samples the
+// drm_runtime_* gauges before every scrape, so burn rates, windowed
+// quantiles and runtime state are current, then defers to the
 // registry's content-negotiating exposition handler.
 func (o *serverObs) metricsHandler() http.Handler {
 	inner := o.reg.Handler()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		o.slo.Refresh()
+		o.runtime.Sample()
 		inner.ServeHTTP(w, r)
 	})
 }

@@ -95,16 +95,10 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// bucketKey identifies a TTL bucket: the set issued against and the
-// instant its permissions lapse.
-type bucketKey struct {
-	set    bitset.Mask
-	expiry int64
-}
-
 // Ledger is the running lifecycle state of a record sequence: per-set
 // net outstanding counts (credits minus debits), per-(set, expiry)
-// outstanding TTL buckets, and cumulative transfer totals. Every store
+// outstanding TTL buckets (grouped by set, so one set's buckets are
+// reached without scanning the others), and cumulative transfer totals. Every store
 // maintains one and consults Admit before appending, which is what
 // makes the soundness condition — cumulative debits per set never
 // exceed cumulative credits — an append-time invariant rather than an
@@ -114,7 +108,7 @@ type bucketKey struct {
 // locks and hand out copies via Clone.
 type Ledger struct {
 	net     map[bitset.Mask]int64
-	buckets map[bucketKey]int64
+	buckets map[bitset.Mask]map[int64]int64 // set → expiry → outstanding
 	xfer    map[bitset.Mask]int64
 }
 
@@ -141,7 +135,7 @@ func (l *Ledger) Admit(r Record) error {
 				r.Kind, r.Count, net, r.Set)
 		}
 		if r.Kind == KindExpire && r.Expiry != 0 {
-			if out := l.buckets[bucketKey{r.Set, r.Expiry}]; r.Count > out {
+			if out := l.buckets[r.Set][r.Expiry]; r.Count > out {
 				return drmerr.New(drmerr.KindLedgerUnsound, op,
 					"logstore: expire of %d exceeds outstanding %d in bucket (set %v, expiry %d)",
 					r.Count, out, r.Set, r.Expiry)
@@ -158,14 +152,14 @@ func (l *Ledger) Apply(r Record) {
 	case KindIssue:
 		l.addNet(r.Set, r.Count)
 		if r.Expiry != 0 {
-			l.addBucket(bucketKey{r.Set, r.Expiry}, r.Count)
+			l.addBucket(r.Set, r.Expiry, r.Count)
 		}
 	case KindRevoke:
 		l.addNet(r.Set, -r.Count)
 	case KindExpire:
 		l.addNet(r.Set, -r.Count)
 		if r.Expiry != 0 {
-			l.addBucket(bucketKey{r.Set, r.Expiry}, -r.Count)
+			l.addBucket(r.Set, r.Expiry, -r.Count)
 		}
 	case KindTransfer:
 		if l.xfer == nil {
@@ -182,14 +176,14 @@ func (l *Ledger) unapply(r Record) {
 	case KindIssue:
 		l.addNet(r.Set, -r.Count)
 		if r.Expiry != 0 {
-			l.addBucket(bucketKey{r.Set, r.Expiry}, -r.Count)
+			l.addBucket(r.Set, r.Expiry, -r.Count)
 		}
 	case KindRevoke:
 		l.addNet(r.Set, r.Count)
 	case KindExpire:
 		l.addNet(r.Set, r.Count)
 		if r.Expiry != 0 {
-			l.addBucket(bucketKey{r.Set, r.Expiry}, r.Count)
+			l.addBucket(r.Set, r.Expiry, r.Count)
 		}
 	case KindTransfer:
 		if l.xfer[r.Set] -= r.Count; l.xfer[r.Set] == 0 {
@@ -233,12 +227,20 @@ func (l *Ledger) addNet(set bitset.Mask, delta int64) {
 	}
 }
 
-func (l *Ledger) addBucket(k bucketKey, delta int64) {
+func (l *Ledger) addBucket(set bitset.Mask, expiry, delta int64) {
 	if l.buckets == nil {
-		l.buckets = make(map[bucketKey]int64)
+		l.buckets = make(map[bitset.Mask]map[int64]int64)
 	}
-	if l.buckets[k] += delta; l.buckets[k] == 0 {
-		delete(l.buckets, k)
+	bs := l.buckets[set]
+	if bs == nil {
+		bs = make(map[int64]int64)
+		l.buckets[set] = bs
+	}
+	if bs[expiry] += delta; bs[expiry] == 0 {
+		delete(bs, expiry)
+		if len(bs) == 0 {
+			delete(l.buckets, set)
+		}
 	}
 }
 
@@ -258,9 +260,13 @@ func (l *Ledger) Clone() *Ledger {
 		}
 	}
 	if len(l.buckets) > 0 {
-		c.buckets = make(map[bucketKey]int64, len(l.buckets))
-		for k, v := range l.buckets {
-			c.buckets[k] = v
+		c.buckets = make(map[bitset.Mask]map[int64]int64, len(l.buckets))
+		for set, bs := range l.buckets {
+			cb := make(map[int64]int64, len(bs))
+			for e, v := range bs {
+				cb[e] = v
+			}
+			c.buckets[set] = cb
 		}
 	}
 	if len(l.xfer) > 0 {
@@ -272,15 +278,14 @@ func (l *Ledger) Clone() *Ledger {
 	return c
 }
 
-// setBuckets returns the set's TTL buckets ordered by expiry ascending.
-func (l *Ledger) setBuckets(set bitset.Mask) []bucketKey {
-	var keys []bucketKey
-	for k := range l.buckets {
-		if k.set == set {
-			keys = append(keys, k)
-		}
+// setExpiries returns the expiries of the set's TTL buckets, ascending.
+func (l *Ledger) setExpiries(set bitset.Mask) []int64 {
+	bs := l.buckets[set]
+	keys := make([]int64, 0, len(bs))
+	for e := range bs {
+		keys = append(keys, e)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].expiry < keys[j].expiry })
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
 }
 
@@ -294,8 +299,8 @@ func (l *Ledger) sets() []bitset.Mask {
 	for s := range l.xfer {
 		seen[s] = true
 	}
-	for k := range l.buckets {
-		seen[k.set] = true
+	for s := range l.buckets {
+		seen[s] = true
 	}
 	out := make([]bitset.Mask, 0, len(seen))
 	for s := range seen {
@@ -316,14 +321,15 @@ func (l *Ledger) Due(now int64) []Record {
 	var out []Record
 	for _, set := range l.sets() {
 		budget := l.net[set]
-		for _, k := range l.setBuckets(set) {
-			take := l.buckets[k]
+		bs := l.buckets[set]
+		for _, e := range l.setExpiries(set) {
+			take := bs[e]
 			if take > budget {
 				take = budget
 			}
 			budget -= take
-			if take > 0 && k.expiry <= now {
-				out = append(out, Record{Kind: KindExpire, Set: set, Count: take, Meta: Meta{Expiry: k.expiry}})
+			if take > 0 && e <= now {
+				out = append(out, Record{Kind: KindExpire, Set: set, Count: take, Meta: Meta{Expiry: e}})
 			}
 		}
 	}
@@ -340,10 +346,11 @@ func (l *Ledger) Canonical() []Record {
 	out := make([]Record, 0, len(l.net)+len(l.buckets)+len(l.xfer))
 	for _, set := range l.sets() {
 		budget := l.net[set]
-		keys := l.setBuckets(set)
+		bs := l.buckets[set]
+		keys := l.setExpiries(set)
 		takes := make([]int64, len(keys))
-		for i, k := range keys {
-			take := l.buckets[k]
+		for i, e := range keys {
+			take := bs[e]
 			if take > budget {
 				take = budget
 			}
@@ -353,9 +360,9 @@ func (l *Ledger) Canonical() []Record {
 		if budget > 0 {
 			out = append(out, Record{Set: set, Count: budget})
 		}
-		for i, k := range keys {
+		for i, e := range keys {
 			if takes[i] > 0 {
-				out = append(out, Record{Set: set, Count: takes[i], Meta: Meta{Expiry: k.expiry}})
+				out = append(out, Record{Set: set, Count: takes[i], Meta: Meta{Expiry: e}})
 			}
 		}
 		if x := l.xfer[set]; x > 0 {

@@ -23,9 +23,9 @@ type RuntimeSample struct {
 	WALFsyncBacklog int64 `json:"wal_fsync_backlog"`
 }
 
-// Runtime samples process telemetry into gauges on demand; the server's
-// telemetry ticker calls Sample periodically and /v1/status calls it
-// per request for freshness. All methods are nil-safe.
+// Runtime samples process telemetry into gauges on demand; the server
+// calls Sample on every /metrics scrape and /v1/status request, so the
+// gauges are as fresh as their reader. All methods are nil-safe.
 type Runtime struct {
 	// backlog reports the WAL fsync backlog (nil when no WAL).
 	backlog func() int64

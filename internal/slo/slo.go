@@ -373,9 +373,9 @@ func snapshotScopes(m map[string]*Tracker) []ScopeWindow {
 }
 
 // Refresh re-evaluates every objective and scope, updates the drm_slo_*
-// gauges, and returns the full status. Called from the telemetry ticker
-// and from the /metrics, /v1/slo, and /v1/status handlers so scrapes
-// always see current window math. Nil-safe (zero Status).
+// gauges, and returns the full status. Called from the /metrics,
+// /v1/slo, and /v1/status handlers so scrapes always see current window
+// math. Nil-safe (zero Status).
 func (s *Service) Refresh() Status {
 	if s == nil {
 		return Status{}
